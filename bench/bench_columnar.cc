@@ -406,8 +406,9 @@ int Run() {
   });
   double enc_scan_ms = TimeMs([&] {
     for (int i = 0; i < 100; ++i) {
-      const std::vector<int> sel =
-          SelectRowsEncoded(*enc, {{city, city_value(i % 38)}});
+      const std::vector<int> sel = SelectRowsEncoded(
+          *enc,
+          Predicate::And({Cmp(city, CompareOp::kEq, city_value(i % 38))}));
       sink += static_cast<long long>(enc->GatherRows(sel).num_rows());
     }
   });
@@ -415,8 +416,8 @@ int Run() {
     const Table hit = SelectWhere(big, [&](const Tuple& t) {
       return t[city] == city_value(i);
     });
-    const std::vector<int> sel =
-        SelectRowsEncoded(*enc, {{city, city_value(i)}});
+    const std::vector<int> sel = SelectRowsEncoded(
+        *enc, Predicate::And({Cmp(city, CompareOp::kEq, city_value(i))}));
     scan_same = scan_same &&
                 static_cast<int>(sel.size()) == hit.num_rows();
   }
@@ -441,8 +442,9 @@ int Run() {
   double enc_update_ms = TimeMs([&] {
     for (int round = 0; round < 20; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
-      enc_changed +=
-          UpdateWhereEncoded(&enc_upd, {{city, city_value(7)}}, status, v);
+      enc_changed += UpdateWhereEncoded(
+          &enc_upd, Predicate::And({Cmp(city, CompareOp::kEq, city_value(7))}),
+          status, v);
     }
   });
   const bool update_same =

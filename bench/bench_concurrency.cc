@@ -26,6 +26,7 @@
 #include "sqlnf/core/table.h"
 #include "sqlnf/core/value.h"
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/util/rng.h"
 
 namespace sqlnf::bench {
@@ -105,7 +106,8 @@ void ReaderLoop(Database* db, std::atomic<bool>* stop,
     }
     int64_t key = rng.Uniform(0, kPreloadRows - 1);
     Result<Table> rows = SelectFromSnapshot(
-        snap.value(), {{AttributeId{0}, Value::Int(key)}});
+        snap.value(),
+        Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(key))}));
     if (!rows.ok() || rows.value().num_rows() != 1) {
       failures->fetch_add(1);
       return;
@@ -153,8 +155,8 @@ void WriterLoop(Database* db, std::atomic<bool>* stop,
     for (int i = 0; i < kUpdatesPerTxn && ok; ++i) {
       int64_t key = rng.Uniform(0, kPreloadRows - 1);
       Result<int> changed = db->Update(
-          "kv", {{AttributeId{0}, Value::Int(key)}}, AttributeId{1},
-          Value::Str("r" + std::to_string(out->statements)));
+          "kv", Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(key))}),
+          AttributeId{1}, Value::Str("r" + std::to_string(out->statements)));
       ok = changed.ok();
       ++out->statements;
     }
@@ -165,8 +167,9 @@ void WriterLoop(Database* db, std::atomic<bool>* stop,
       ++out->statements;
     }
     if (ok && pending_delete >= 0) {
-      Result<int> removed =
-          db->Delete("kv", {{AttributeId{0}, Value::Int(pending_delete)}});
+      Result<int> removed = db->Delete(
+          "kv", Predicate::And(
+                    {Cmp(0, CompareOp::kEq, Value::Int(pending_delete))}));
       ok = removed.ok() && removed.value() == 1;
       ++out->statements;
     }

@@ -137,9 +137,11 @@ int Run() {
         big_status, Value::Str("suspended"));
   });
   double enc_upd_ms = TimeMs([&] {
-    (void)UpdateWhereEncoded(&enc_upd,
-                             {{big_city, Value::Str("City g1-0")}},
-                             big_status, Value::Str("suspended"));
+    (void)UpdateWhereEncoded(
+        &enc_upd,
+        Predicate::And(
+            {Cmp(big_city, CompareOp::kEq, Value::Str("City g1-0"))}),
+        big_status, Value::Str("suspended"));
   });
   std::printf(
       "update ablation on %d rows: encoded group update %.2f ms, "

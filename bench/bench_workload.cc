@@ -125,7 +125,9 @@ int Run() {
     for (int round = 0; round < 30; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
       auto changed = denorm.Update(
-          big.schema().name(), {{big_city, city_value(3)}}, big_status, v);
+          big.schema().name(),
+          Predicate::And({Cmp(big_city, CompareOp::kEq, city_value(3))}),
+          big_status, v);
       bench::CheckOk(changed.status(), "denorm update");
     }
   });
@@ -138,8 +140,10 @@ int Run() {
     WriterScope scope;
     for (int round = 0; round < 30; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
-      auto changed = norm.Update(status_table, {{part_city, city_value(3)}},
-                                 part_status, v);
+      auto changed = norm.Update(
+          status_table,
+          Predicate::And({Cmp(part_city, CompareOp::kEq, city_value(3))}),
+          part_status, v);
       bench::CheckOk(changed.status(), "norm update");
     }
   });
@@ -148,8 +152,9 @@ int Run() {
   denorm_lat.select_ms = TimeMs([&] {
     WriterScope scope;
     for (int i = 0; i < 300; ++i) {
-      auto hit = denorm.Select(big.schema().name(),
-                               {{big_city, city_value(i % 38)}});
+      auto hit = denorm.Select(
+          big.schema().name(),
+          Predicate::And({Cmp(big_city, CompareOp::kEq, city_value(i % 38))}));
       bench::CheckOk(hit.status(), "denorm select");
       sink += hit.value().num_rows();
     }
@@ -157,8 +162,9 @@ int Run() {
   norm_lat.select_ms = TimeMs([&] {
     WriterScope scope;
     for (int i = 0; i < 300; ++i) {
-      auto hit = norm.Select(status_table,
-                             {{part_city, city_value(i % 38)}});
+      auto hit = norm.Select(
+          status_table,
+          Predicate::And({Cmp(part_city, CompareOp::kEq, city_value(i % 38))}));
       bench::CheckOk(hit.status(), "norm select");
       sink += hit.value().num_rows();
     }

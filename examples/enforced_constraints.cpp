@@ -6,33 +6,36 @@
 // the DDL generator can only leave "-- requires trigger-based
 // enforcement" comments. This example runs the bundled mini SQL engine,
 // whose CREATE TABLE accepts CERTAIN KEY / CERTAIN FD / POSSIBLE FD
-// clauses and enforces them on every INSERT and UPDATE.
+// clauses and enforces them on every INSERT and UPDATE. Statements run
+// through a Session (engine/session.h), the same script entry point
+// the HTTP server and the CLI shell use.
 
 #include <cstdio>
 
-#include "sqlnf/engine/sql.h"
+#include "sqlnf/engine/session.h"
 
 using namespace sqlnf;
 
 namespace {
 
-void Run(SqlSession* session, const char* statement)
-    SQLNF_REQUIRES(writer_thread_role) {
+void Run(Session* session, const char* statement) {
   std::printf("sql> %s\n", statement);
-  auto result = session->Execute(statement);
-  if (result.ok()) {
-    std::printf("%s\n\n", result->ToString().c_str());
-  } else {
-    std::printf("REJECTED: %s\n\n", result.status().message().c_str());
+  const ResultSet rs = session->Execute(statement);
+  if (!rs.ok()) {
+    std::printf("REJECTED: %s\n\n", rs.status.message().c_str());
+    return;
+  }
+  for (const QueryResult& result : rs.statements) {
+    std::printf("%s\n\n", result.ToString().c_str());
   }
 }
 
 }  // namespace
 
 int main() {
-  WriterScope writer;  // single-threaded example: main is the writer
   Database db;
-  SqlSession session(&db);
+  SessionRegistry registry(&db);
+  Session session(&registry);
 
   // The running example, with the business rule as a CERTAIN FD: the
   // same item from the same catalog — even a not-yet-known catalog —

@@ -27,7 +27,7 @@
 //     popcount(mask) ids are memcpy'd out, because the destination
 //     window is exactly sized per ParallelEmit chunk and a full
 //     32-byte store would stomp the neighbouring chunk's window.
-//   * 64-bit FNV multiply — SSE2/AVX2 lack a 64-bit mullo; the FNV
+//   * 64-bit FNV multiply — AVX2 lacks a 64-bit mullo; the FNV
 //     prime 0x100000001B3 is split into hi/lo halves and reassembled
 //     from three 32×32→64 mul_epu32 partial products.
 
@@ -35,7 +35,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "sqlnf/util/fnv.h"
@@ -69,23 +68,6 @@ Level CpuMax() {
 
 constexpr uint8_t kNoOverride = 0xFF;
 std::atomic<uint8_t> g_test_override{kNoOverride};
-
-Level EnvCappedLevel() {
-  // getenv() is banned in src/ by the nondeterminism lint rule; this
-  // call is its one sanctioned exemption, because the bit-identity
-  // contract means the dispatch level can never change a result —
-  // SQLNF_SIMD_LEVEL selects an implementation, not an answer.
-  static const Level cached = [] {
-    Level cap = DetectedLevel();
-    const char* env = std::getenv("SQLNF_SIMD_LEVEL");
-    Level parsed = Level::kScalar;
-    if (env != nullptr && ParseLevel(env, &parsed) && parsed < cap) {
-      cap = parsed;
-    }
-    return cap;
-  }();
-  return cached;
-}
 
 // Requests above what the CPU/build supports degrade to the best
 // available level instead of faulting on an illegal instruction.
@@ -377,29 +359,6 @@ int64_t CountBytesSse2(const uint8_t* bytes, int n) {
          CountBytesScalar(bytes + i, n - i);
 }
 
-// (h ^ code) * kFnv64Prime over two 64-bit lanes. The prime splits as
-// hi 0x100 / lo 0x1B3; the product is rebuilt from mul_epu32 partials:
-//   res = lo(x)*0x1B3 + ((lo(x)*0x100 + hi(x)*0x1B3) << 32).
-void FnvMixCodesSse2(const uint32_t* codes, int n, uint64_t* h) {
-  const __m128i p_lo = _mm_set1_epi64x(0x1B3);
-  const __m128i p_hi = _mm_set1_epi64x(0x100);
-  const __m128i zero = _mm_setzero_si128();
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i hv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    // Two u32 codes, zero-extended into the two u64 lanes.
-    __m128i c =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    __m128i x = _mm_xor_si128(hv, _mm_unpacklo_epi32(c, zero));
-    __m128i lo_part = _mm_mul_epu32(x, p_lo);
-    __m128i mid = _mm_add_epi64(_mm_mul_epu32(x, p_hi),
-                                _mm_mul_epu32(_mm_srli_epi64(x, 32), p_lo));
-    __m128i res = _mm_add_epi64(lo_part, _mm_slli_epi64(mid, 32));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(h + i), res);
-  }
-  FnvMixCodesScalar(codes + i, n - i, h + i);
-}
-
 void FoldMaskSse2(const uint64_t* h, int n, uint64_t mask, uint32_t* out) {
   const __m128i maskv = _mm_set1_epi64x(static_cast<long long>(mask));
   int i = 0;
@@ -644,6 +603,11 @@ SQLNF_SIMD_TARGET_AVX2 int CompressStoreAvx2(const uint8_t* match, int n,
   return count;
 }
 
+// (h ^ code) * kFnv64Prime over four 64-bit lanes. The prime splits as
+// hi 0x100 / lo 0x1B3; the product is rebuilt from mul_epu32 partials:
+//   res = lo(x)*0x1B3 + ((lo(x)*0x100 + hi(x)*0x1B3) << 32).
+// No 128-bit variant: an SSE2 version (two lanes per multiply)
+// measured slower than the scalar loop in E19.
 SQLNF_SIMD_TARGET_AVX2 void FnvMixCodesAvx2(const uint32_t* codes, int n,
                                             uint64_t* h) {
   const __m256i p_lo = _mm256_set1_epi64x(0x1B3);
@@ -715,24 +679,6 @@ const char* LevelName(Level level) {
   return "unknown";
 }
 
-bool ParseLevel(const char* name, Level* out) {
-  if (name == nullptr || out == nullptr) return false;
-  const auto is = [name](const char* s) { return std::strcmp(name, s) == 0; };
-  if (is("scalar")) {
-    *out = Level::kScalar;
-    return true;
-  }
-  if (is("simd128") || is("sse2") || is("neon")) {
-    *out = Level::kSimd128;
-    return true;
-  }
-  if (is("avx2")) {
-    *out = Level::kAvx2;
-    return true;
-  }
-  return false;
-}
-
 Level DetectedLevel() {
   static const Level cached = CpuMax();
   return cached;
@@ -741,7 +687,7 @@ Level DetectedLevel() {
 Level ActiveLevel() {
   uint8_t o = g_test_override.load(std::memory_order_relaxed);
   if (o != kNoOverride) return static_cast<Level>(o);
-  return EnvCappedLevel();
+  return DetectedLevel();
 }
 
 void SetLevelForTesting(Level level) {
@@ -904,12 +850,6 @@ void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h) {
 #if SQLNF_SIMD_HAVE_AVX2
   if (l == Level::kAvx2) {
     FnvMixCodesAvx2(codes, n, h);
-    return;
-  }
-#endif
-#if SQLNF_SIMD_X86
-  if (l >= Level::kSimd128) {
-    FnvMixCodesSse2(codes, n, h);
     return;
   }
 #endif

@@ -10,21 +10,22 @@
 // Each kernel ships in up to three compile-time ISA variants — a scalar
 // reference (auto-vectorization disabled: it is the differential
 // oracle), a portable 128-bit path (SSE2 on x86-64, NEON on AArch64),
-// and AVX2 — selected by the explicit `Level` argument. Call sites pass
-// ActiveLevel(), which resolves runtime CPU detection capped by the
-// SQLNF_SIMD_LEVEL environment override; tests pass levels directly to
-// sweep them. Every dispatcher clamps the requested level to what the
-// CPU actually supports, so asking for AVX2 on an SSE2-only machine
-// degrades instead of faulting.
+// and AVX2 — selected by the explicit `Level` argument. A kernel with
+// no 128-bit variant runs its scalar reference at kSimd128. Call sites
+// pass ActiveLevel(), the runtime CPU detection; tests pass levels
+// directly (or pin ActiveLevel with SetLevelForTesting) to sweep them.
+// Every dispatcher clamps the requested level to what the CPU actually
+// supports, so asking for AVX2 on an SSE2-only machine degrades
+// instead of faulting.
 //
 // THE BIT-IDENTITY CONTRACT: for identical inputs, every kernel
 // produces byte-for-byte identical output at every level. ⊥ semantics
 // ride on the same code/rank tricks as the scalar loops they replace
 // (kNullCode wrapping outside intervals, the min(code, d) gather clamp
 // onto the sentinel slot), so the dispatch level can never change a
-// query result — which is what makes the SQLNF_SIMD_LEVEL override and
-// the forced-scalar CI leg safe, and what the predicate-fuzzer and
-// executor differential harnesses enforce by sweeping levels.
+// query result — which is what makes the forced-scalar CI leg safe,
+// and what the predicate-fuzzer and executor differential harnesses
+// enforce by sweeping levels.
 //
 // This header is deliberately ISA-agnostic: no intrinsics, no feature
 // macros (the sqlnf_lint `simd-confinement` rule confines those to
@@ -51,18 +52,12 @@ enum class Level : uint8_t {
 /// Canonical lowercase name ("scalar", "simd128", "avx2").
 const char* LevelName(Level level);
 
-/// Parses "scalar", "sse2"/"neon"/"simd128", or "avx2" (the spellings
-/// SQLNF_SIMD_LEVEL accepts). Returns false on anything else.
-bool ParseLevel(const char* name, Level* out);
-
 /// The best level this CPU (and build) supports — compile-time ISA
-/// availability ∧ runtime CPU detection, ignoring the environment.
+/// availability ∧ runtime CPU detection.
 Level DetectedLevel();
 
 /// The level production call sites use: the test override if one is
-/// set, else DetectedLevel() capped by the SQLNF_SIMD_LEVEL
-/// environment variable (read once per process). Never exceeds
-/// DetectedLevel().
+/// set, else DetectedLevel(). Never exceeds DetectedLevel().
 Level ActiveLevel();
 
 /// Pins ActiveLevel() for tests (clamped to DetectedLevel()); sweep
@@ -126,7 +121,8 @@ int CompressStore(Level level, const uint8_t* match, int n, int base,
 
 /// h[i] = (h[i] ^ codes[i]) * kFnv64Prime — one FNV-1a column fold
 /// over a row range. Chaining per key column reproduces
-/// CodeHashIndex::HashKey exactly (same mix order per row).
+/// CodeHashIndex::HashKey exactly (same mix order per row). Scalar at
+/// kSimd128; only AVX2 has a vector variant.
 void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h);
 
 /// out[i] = uint32((h[i] ^ (h[i] >> 32)) & mask): the bucket-id fold

@@ -77,12 +77,6 @@ Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
   return snapshot.columns->GatherRows(sel).Decode(snapshot.schema);
 }
 
-Result<Table> SelectFromSnapshot(
-    const TableSnapshot& snapshot,
-    const std::vector<ColumnCondition>& where) {
-  return SelectFromSnapshot(snapshot, ToPredicate(where));
-}
-
 Status Database::CreateTableLocked(const TableSchema& schema,
                                    ConstraintSet sigma) {
   if (tables_.contains(schema.name())) {
@@ -221,21 +215,21 @@ Result<Table> Database::Select(const std::string& name,
   return stored->columns().GatherRows(sel).Decode(stored->schema());
 }
 
-Result<Table> Database::Select(
-    const std::string& name,
-    const std::vector<ColumnCondition>& where) const {
-  return Select(name, ToPredicate(where));
-}
-
-Result<int> Database::UpdateMatched(StoredTable* stored,
-                                    const std::vector<int>& matches,
-                                    AttributeId column, const Value& value) {
+Result<int> Database::Update(const std::string& name,
+                             const Predicate& where, AttributeId column,
+                             const Value& value) {
+  MutexLock lock(mu_);
+  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
+  if (column < 0 || column >= stored->num_columns()) {
+    return Status::Invalid("UPDATE column out of range");
+  }
+  SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
   const EncodedTable& enc = stored->columns();
   // A value the dictionary has never seen is kMissingCode, which equals
   // no stored code — every matched row then counts as changed.
   const uint32_t want = enc.LookupCode(column, value);
   std::vector<int> changed;
-  for (int i : matches) {
+  for (int i : SelectRowsEncoded(enc, where)) {
     if (enc.code(column, i) != want) changed.push_back(i);
   }
   if (changed.empty()) return 0;
@@ -285,43 +279,13 @@ Result<int> Database::UpdateMatched(StoredTable* stored,
   return static_cast<int>(changed.size());
 }
 
-Result<int> Database::Update(const std::string& name,
-                             const Predicate& where, AttributeId column,
-                             const Value& value) {
+Result<int> Database::Delete(const std::string& name,
+                             const Predicate& where) {
   MutexLock lock(mu_);
   SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  if (column < 0 || column >= stored->num_columns()) {
-    return Status::Invalid("UPDATE column out of range");
-  }
   SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
-  return UpdateMatched(stored, SelectRowsEncoded(stored->columns(), where),
-                       column, value);
-}
-
-Result<int> Database::Update(const std::string& name,
-                             const std::vector<ColumnCondition>& where,
-                             AttributeId column, const Value& value) {
-  return Update(name, ToPredicate(where), column, value);
-}
-
-Result<int> Database::Update(
-    const std::string& name,
-    const std::function<bool(const Tuple&)>& predicate, AttributeId column,
-    const Value& value) {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  if (column < 0 || column >= stored->num_columns()) {
-    return Status::Invalid("UPDATE column out of range");
-  }
-  std::vector<int> matches;
-  for (int i = 0; i < stored->num_rows(); ++i) {
-    if (predicate(stored->DecodeRow(i))) matches.push_back(i);
-  }
-  return UpdateMatched(stored, matches, column, value);
-}
-
-int Database::DeleteMatched(StoredTable* stored,
-                            const std::vector<int>& matches) {
+  const std::vector<int> matches =
+      SelectRowsEncoded(stored->columns(), where);
   if (matches.empty()) return 0;
   if (txn_) {
     stored->PinSnapshot(mu_);
@@ -340,31 +304,6 @@ int Database::DeleteMatched(StoredTable* stored,
   stored->enforcer().CompactAfterErase(matches);
   if (!txn_) stored->MarkDirty(mu_);  // auto-commit
   return static_cast<int>(matches.size());
-}
-
-Result<int> Database::Delete(const std::string& name,
-                             const Predicate& where) {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
-  return DeleteMatched(stored, SelectRowsEncoded(stored->columns(), where));
-}
-
-Result<int> Database::Delete(const std::string& name,
-                             const std::vector<ColumnCondition>& where) {
-  return Delete(name, ToPredicate(where));
-}
-
-Result<int> Database::Delete(
-    const std::string& name,
-    const std::function<bool(const Tuple&)>& predicate) {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  std::vector<int> matches;
-  for (int i = 0; i < stored->num_rows(); ++i) {
-    if (predicate(stored->DecodeRow(i))) matches.push_back(i);
-  }
-  return DeleteMatched(stored, matches);
 }
 
 Result<int> Database::CompactTable(const std::string& name) {

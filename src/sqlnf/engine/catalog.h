@@ -54,7 +54,6 @@
 #define SQLNF_ENGINE_CATALOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -107,10 +106,6 @@ struct TableSnapshot {
 Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
                                  const Predicate& where);
 
-/// Legacy conjunctive form (lowers through ToPredicate).
-Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
-                                 const std::vector<ColumnCondition>& where);
-
 /// One stored table. The instance lives as the enforcer's maintained
 /// encoding — columns() IS the data; Materialize() decodes on demand.
 class StoredTable {
@@ -129,8 +124,8 @@ class StoredTable {
   int num_rows() const { return columns().num_rows(); }
   int num_columns() const { return schema_.num_attributes(); }
 
-  /// Decodes one stored row (the decode boundary for row predicates and
-  /// result sets).
+  /// Decodes one stored row (the decode boundary for undo pre-images
+  /// and test oracles).
   Tuple DecodeRow(int row) const;
 
   /// Decodes the whole instance into a row-major Table.
@@ -238,30 +233,12 @@ class Database {
   Result<Table> Select(const std::string& name, const Predicate& where) const
       SQLNF_REQUIRES(writer_thread_role);
 
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<Table> Select(const std::string& name,
-                       const std::vector<ColumnCondition>& where) const
-      SQLNF_REQUIRES(writer_thread_role);
-
   /// UPDATE ... SET column = value WHERE predicate tree, executed on
-  /// codes (the SQL layer's default path). The whole statement is
-  /// validated post-image on the maintained encoding; on violation
-  /// every changed slot is rolled back and the statement's dictionary
-  /// codes are retired. Returns rows changed.
+  /// codes. The whole statement is validated post-image on the
+  /// maintained encoding; on violation every changed slot is rolled
+  /// back and the statement's dictionary codes are retired. Returns
+  /// rows changed.
   Result<int> Update(const std::string& name, const Predicate& where,
-                     AttributeId column, const Value& value)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<int> Update(const std::string& name,
-                     const std::vector<ColumnCondition>& where,
-                     AttributeId column, const Value& value)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// UPDATE with an arbitrary row predicate: rows are decoded to
-  /// evaluate it, then the write takes the same columnar path.
-  Result<int> Update(const std::string& name,
-                     const std::function<bool(const Tuple&)>& predicate,
                      AttributeId column, const Value& value)
       SQLNF_REQUIRES(writer_thread_role);
 
@@ -269,17 +246,6 @@ class Database {
   /// cannot violate FDs/keys (they are anti-monotone), so no validation
   /// is needed. Returns rows removed.
   Result<int> Delete(const std::string& name, const Predicate& where)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<int> Delete(const std::string& name,
-                     const std::vector<ColumnCondition>& where)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// DELETE with an arbitrary row predicate (decodes rows to evaluate
-  /// it).
-  Result<int> Delete(const std::string& name,
-                     const std::function<bool(const Tuple&)>& predicate)
       SQLNF_REQUIRES(writer_thread_role);
 
   /// VACUUM: order-preserving dictionary compaction of one table
@@ -334,18 +300,6 @@ class Database {
   Status CreateTableLocked(const TableSchema& schema, ConstraintSet sigma)
       SQLNF_REQUIRES(mu_);
   Status InsertLocked(const std::string& name, Tuple row)
-      SQLNF_REQUIRES(mu_, writer_thread_role);
-
-  /// Shared columnar write core: flips `column` to `value` on the
-  /// matched rows, validates the post-image, rolls back (slots and
-  /// dictionary marks) on violation.
-  Result<int> UpdateMatched(StoredTable* stored,
-                            const std::vector<int>& matches,
-                            AttributeId column, const Value& value)
-      SQLNF_REQUIRES(mu_, writer_thread_role);
-
-  /// Shared delete core: `matches` must be ascending.
-  int DeleteMatched(StoredTable* stored, const std::vector<int>& matches)
       SQLNF_REQUIRES(mu_, writer_thread_role);
 
   /// Serializes snapshot publication against the writer; all mutating

@@ -1,4 +1,4 @@
-// Predicate trees over encoded columns: the engine's WHERE shape.
+// Predicate trees over encoded columns: the engine's one WHERE type.
 //
 // A Predicate is kept in DISJUNCTIVE NORMAL FORM — an OR over
 // conjunctions of atoms — because every SQL WHERE the parser accepts
@@ -12,14 +12,14 @@
 //   col IN (v1, ..., vk)               marker equality with any member
 //
 // ⊥ SEMANTICS (MARKER, not SQL three-valued logic — consistent with the
-// paper's Section 2 tuple equality and the engine's existing
-// ColumnCondition): `=` is syntactic marker equality, so `col = NULL`
-// matches exactly the ⊥ cells and `<>` matches the complement. Ordered
-// comparisons EXCLUDE ⊥ by definition: a ⊥ cell satisfies no
-// `<`/`<=`/`>`/`>=`/BETWEEN atom, and a ⊥ operand (e.g. `col < NULL`)
-// makes the atom false everywhere. Values of different kinds compare by
-// Value's total order (Int < Str). IN is k-fold marker equality — ⊥ may
-// appear in the list and matches the ⊥ cells.
+// paper's Section 2 tuple equality and the equality join of
+// decomposition/encoded_ops.h): `=` is syntactic marker equality, so
+// `col = NULL` matches exactly the ⊥ cells and `<>` matches the
+// complement. Ordered comparisons EXCLUDE ⊥ by definition: a ⊥ cell
+// satisfies no `<`/`<=`/`>`/`>=`/BETWEEN atom, and a ⊥ operand (e.g.
+// `col < NULL`) makes the atom false everywhere. Values of different
+// kinds compare by Value's total order (Int < Str). IN is k-fold marker
+// equality — ⊥ may appear in the list and matches the ⊥ cells.
 //
 // Two evaluators share these semantics and are differentially tested
 // against each other (tests/predicate_fuzz_test.cc):
@@ -34,7 +34,7 @@
 //                      SIMD kernels of core/simd_kernels.h (scalar /
 //                      128-bit / AVX2, runtime-dispatched,
 //                      bit-identical across levels by contract — the
-//                      fuzzer sweeps SQLNF_SIMD_LEVEL to prove it).
+//                      fuzzer sweeps every level to prove it).
 //
 // Ordered atoms compile through the column's order index
 // (core/encoded_table.h): `col < v` becomes a half-open RANK interval

@@ -7,23 +7,6 @@
 
 namespace sqlnf {
 
-bool MatchesConditions(const Tuple& t,
-                       const std::vector<ColumnCondition>& conditions) {
-  for (const ColumnCondition& c : conditions) {
-    if (!(t[c.column] == c.value)) return false;
-  }
-  return true;
-}
-
-Predicate ToPredicate(const std::vector<ColumnCondition>& conditions) {
-  Conjunction conj;
-  conj.reserve(conditions.size());
-  for (const ColumnCondition& c : conditions) {
-    conj.push_back(Cmp(c.column, CompareOp::kEq, c.value));
-  }
-  return Predicate::And(std::move(conj));
-}
-
 std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
                                    const Predicate& pred,
                                    const ParallelOptions& par) {
@@ -76,13 +59,6 @@ std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
   return sel;
 }
 
-std::vector<int> SelectRowsEncoded(
-    const EncodedTable& enc,
-    const std::vector<ColumnCondition>& conditions,
-    const ParallelOptions& par) {
-  return SelectRowsEncoded(enc, ToPredicate(conditions), par);
-}
-
 int UpdateWhereEncoded(EncodedTable* enc, const Predicate& pred,
                        AttributeId column, const Value& value) {
   const uint32_t want = enc->LookupCode(column, value);
@@ -95,21 +71,10 @@ int UpdateWhereEncoded(EncodedTable* enc, const Predicate& pred,
   return changed;
 }
 
-int UpdateWhereEncoded(EncodedTable* enc,
-                       const std::vector<ColumnCondition>& conditions,
-                       AttributeId column, const Value& value) {
-  return UpdateWhereEncoded(enc, ToPredicate(conditions), column, value);
-}
-
 int DeleteWhereEncoded(EncodedTable* enc, const Predicate& pred) {
   std::vector<int> sel = SelectRowsEncoded(*enc, pred);
   enc->EraseRows(sel);
   return static_cast<int>(sel.size());
-}
-
-int DeleteWhereEncoded(EncodedTable* enc,
-                       const std::vector<ColumnCondition>& conditions) {
-  return DeleteWhereEncoded(enc, ToPredicate(conditions));
 }
 
 Table SelectWhere(const Table& table,

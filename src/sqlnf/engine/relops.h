@@ -21,25 +21,6 @@
 
 namespace sqlnf {
 
-/// One conjunct of the engine's WHERE shape: column = value under
-/// MARKER equality — a ⊥ value matches exactly the ⊥ cells (the same
-/// equality the paper's equality join uses), not SQL's three-valued
-/// NULL.
-struct ColumnCondition {
-  AttributeId column;
-  Value value;
-};
-
-/// Evaluates the conjunction on a decoded tuple — the row-major
-/// reference for the columnar selection below.
-bool MatchesConditions(const Tuple& t,
-                       const std::vector<ColumnCondition>& conditions);
-
-/// The predicate-tree form of a legacy conjunction: one disjunct of
-/// kEq atoms. Conjunction call sites lower through this, so both
-/// WHERE shapes run the same compiled scan.
-Predicate ToPredicate(const std::vector<ColumnCondition>& conditions);
-
 /// Selection vector (ascending row ids) of the rows satisfying the
 /// predicate tree, computed on codes: atoms compile once against the
 /// encoding (dictionary probes, order-index binary searches —
@@ -54,26 +35,16 @@ std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
                                    const Predicate& pred,
                                    const ParallelOptions& par = {});
 
-/// Legacy conjunction overload; no conditions selects every row.
-std::vector<int> SelectRowsEncoded(
-    const EncodedTable& enc, const std::vector<ColumnCondition>& conditions,
-    const ParallelOptions& par = {});
-
 /// In-place columnar "UPDATE ... SET column = value WHERE pred",
 /// re-encoding only the cells whose code actually changes; returns rows
 /// changed. Constraint/NFS checks live in the Database layer
 /// (engine/catalog.h); this is the bare executor primitive.
 int UpdateWhereEncoded(EncodedTable* enc, const Predicate& pred,
                        AttributeId column, const Value& value);
-int UpdateWhereEncoded(EncodedTable* enc,
-                       const std::vector<ColumnCondition>& conditions,
-                       AttributeId column, const Value& value);
 
 /// In-place columnar "DELETE FROM ... WHERE pred"; returns rows
 /// removed.
 int DeleteWhereEncoded(EncodedTable* enc, const Predicate& pred);
-int DeleteWhereEncoded(EncodedTable* enc,
-                       const std::vector<ColumnCondition>& conditions);
 
 /// Copies rows satisfying `predicate` into a new table ("SELECT ...
 /// WHERE"). The predicate sees each row.

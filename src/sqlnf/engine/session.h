@@ -5,8 +5,9 @@
 // A SessionRegistry owns what all connections share — the Database,
 // the writer mutex that serializes mutating scripts, and a cache of
 // parsed constraint sets. Each connection (an HTTP socket in net/, the
-// CLI's query/validate commands, a test thread) holds its own Session,
-// which routes every script down one of two paths:
+// CLI's query and shell commands, a test thread) holds its own Session,
+// whose Execute is the engine's one script entry point and routes every
+// script down one of two paths:
 //
 //   * ALL statements read-only (SELECT / SHOW / DESCRIBE) → take one
 //     atomic SnapshotAll() and execute lock-free against the immutable

@@ -959,14 +959,4 @@ bool StatementIsReadOnly(std::string_view statement) {
   return word == "SELECT" || word == "SHOW" || word == "DESCRIBE";
 }
 
-Result<std::vector<QueryResult>> SqlSession::ExecuteScript(
-    std::string_view script) {
-  std::vector<QueryResult> results;
-  for (const SqlStatement& statement : SplitSqlStatements(script)) {
-    SQLNF_ASSIGN_OR_RETURN(QueryResult result, Execute(statement.text));
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
 }  // namespace sqlnf

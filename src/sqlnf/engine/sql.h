@@ -101,11 +101,13 @@ Result<QueryResult> ExecuteReadOnly(
     const std::map<std::string, TableSnapshot>& snapshots,
     std::string_view statement, int* error_offset = nullptr);
 
-/// Executes SQL against a Database. Stateless besides the Database
-/// pointer; statements are independent.
+/// Executes one SQL statement at a time against a Database. Stateless
+/// besides the Database pointer; statements are independent. Scripts
+/// run through engine/session.h Session::Execute, which splits them
+/// and drives this class on its writer path.
 ///
 /// A session drives DML/DDL through the Database's live state, so it
-/// belongs to the single writer thread: both entry points require the
+/// belongs to the single writer thread: Execute requires the
 /// WriterThread role (engine/writer_role.h). Reader threads query
 /// snapshots (ExecuteReadOnly above), not SqlSession.
 class SqlSession {
@@ -119,11 +121,6 @@ class SqlSession {
   /// textual anchor (e.g. a constraint violation).
   Result<QueryResult> Execute(std::string_view statement,
                               int* error_offset = nullptr)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Executes a ';'-separated script, stopping at the first error.
-  /// '--' line comments are ignored.
-  Result<std::vector<QueryResult>> ExecuteScript(std::string_view script)
       SQLNF_REQUIRES(writer_thread_role);
 
  private:

@@ -30,7 +30,7 @@
 // high-water marks on first touch of each table) — so an aborted
 // transaction leaves tables, constraint indexes AND dictionaries
 // bit-identical to their pre-transaction state. The same mark/trim
-// mechanism runs at statement scope inside UpdateMatched, fixing the
+// mechanism runs at statement scope inside Database::Update, fixing the
 // historical leak where a rejected UPDATE left its freshly minted
 // dictionary entry behind.
 //

@@ -18,9 +18,8 @@
 //                         __attribute__((target("avx2"))), so the rest
 //                         of the TU keeps the baseline ISA). Whether
 //                         they EXECUTE is decided per process by
-//                         __builtin_cpu_supports("avx2") plus the
-//                         SQLNF_SIMD_LEVEL override — never by the
-//                         compile flags alone, so one binary runs
+//                         __builtin_cpu_supports("avx2") — never by
+//                         the compile flags alone, so one binary runs
 //                         correctly on any x86-64.
 //
 // Defining SQLNF_SIMD_FORCE_SCALAR (the CI fallback leg) compiles out

@@ -13,6 +13,7 @@ namespace {
 using testing::Rows;
 using testing::Schema;
 using testing::Sigma;
+using testing::WhereEq;
 
 Tuple Row(std::initializer_list<const char*> cells) {
   std::vector<Value> values;
@@ -99,21 +100,14 @@ TEST(DatabaseTest, UpdateValidatesPostImageAtomically) {
   ASSERT_OK(db.Insert("T", Row({"1", "p", "x"})));
   ASSERT_OK(db.Insert("T", Row({"1", "q", "x"})));
   // Changing only one of the two a=1 rows breaks the FD: rejected.
-  bool first = true;
-  auto one_row = [&first](const Tuple&) {
-    bool take = first;
-    first = false;
-    return take;
-  };
-  auto rejected = db.Update("T", one_row, 2, Value::Str("y"));
+  auto rejected = db.Update("T", WhereEq(1, Value::Str("p")), 2,
+                            Value::Str("y"));
   EXPECT_FALSE(rejected.ok());
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
   EXPECT_EQ(stored->DecodeRow(0)[2], Value::Str("x"));  // untouched
   // Changing both rows together is consistent.
   ASSERT_OK_AND_ASSIGN(
-      int changed,
-      db.Update("T", [](const Tuple&) { return true; }, 2,
-                Value::Str("y")));
+      int changed, db.Update("T", Predicate::True(), 2, Value::Str("y")));
   EXPECT_EQ(changed, 2);
 }
 
@@ -123,13 +117,10 @@ TEST(DatabaseTest, UpdateRejectsNullIntoNotNull) {
   TableSchema schema = Schema("ab", "a");
   ASSERT_OK(db.CreateTable(schema, ConstraintSet()));
   ASSERT_OK(db.Insert("T", Row({"1", "x"})));
-  EXPECT_FALSE(
-      db.Update("T", [](const Tuple&) { return true; }, 0, Value::Null())
-          .ok());
+  EXPECT_FALSE(db.Update("T", Predicate::True(), 0, Value::Null()).ok());
   // Nullable column accepts ⊥.
   ASSERT_OK_AND_ASSIGN(
-      int changed,
-      db.Update("T", [](const Tuple&) { return true; }, 1, Value::Null()));
+      int changed, db.Update("T", Predicate::True(), 1, Value::Null()));
   EXPECT_EQ(changed, 1);
 }
 
@@ -140,9 +131,8 @@ TEST(DatabaseTest, DeleteNeverViolates) {
   ASSERT_OK(db.CreateTable(schema, testing::Sigma(schema, "a ->w b")));
   ASSERT_OK(db.Insert("T", Row({"1", "x"})));
   ASSERT_OK(db.Insert("T", Row({"2", "y"})));
-  ASSERT_OK_AND_ASSIGN(
-      int removed,
-      db.Delete("T", [](const Tuple& t) { return t[0] == Value::Str("1"); }));
+  ASSERT_OK_AND_ASSIGN(int removed,
+                       db.Delete("T", WhereEq(0, Value::Str("1"))));
   EXPECT_EQ(removed, 1);
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
   EXPECT_EQ(stored->num_rows(), 1);
@@ -159,9 +149,8 @@ TEST(DatabaseTest, UpdateAndDeleteMaintainIndexWithoutRebuild) {
   ASSERT_OK(db.Insert("T", Row({"4", "r", "z"})));
 
   // Delete the a=2 row: its key must be freed, survivors renumbered.
-  ASSERT_OK_AND_ASSIGN(
-      int removed,
-      db.Delete("T", [](const Tuple& t) { return t[0] == Value::Str("2"); }));
+  ASSERT_OK_AND_ASSIGN(int removed,
+                       db.Delete("T", WhereEq(0, Value::Str("2"))));
   EXPECT_EQ(removed, 1);
   EXPECT_OK(db.Insert("T", Row({"2", "q", "w"})));  // key reusable
 
@@ -174,9 +163,7 @@ TEST(DatabaseTest, UpdateAndDeleteMaintainIndexWithoutRebuild) {
   // key conflicts.
   ASSERT_OK_AND_ASSIGN(
       int changed,
-      db.Update(
-          "T", [](const Tuple& t) { return t[0] == Value::Str("4"); }, 1,
-          Value::Str("s")));
+      db.Update("T", WhereEq(0, Value::Str("4")), 1, Value::Str("s")));
   EXPECT_EQ(changed, 1);
   EXPECT_FALSE(db.Insert("T", Row({"4", "s", "z"})).ok());  // post-image
   EXPECT_OK(db.Insert("T", Row({"4", "r", "z"})));          // pre-image freed
@@ -216,10 +203,9 @@ TEST(DatabaseTest, MutationsKeepEnforcerConsistentRandomized) {
       if (rng.Chance(0.5)) {
         const Value set = rng.Chance(0.2) ? Value::Null()
                                           : Value::Int(rng.Uniform(0, 2));
-        (void)db.Update(
-            "T", [&](const Tuple& t) { return t[0] == match; }, col, set);
+        (void)db.Update("T", WhereEq(0, match), col, set);
       } else {
-        (void)db.Delete("T", [&](const Tuple& t) { return t[col] == match; });
+        (void)db.Delete("T", WhereEq(col, match));
       }
 
       // The incrementally maintained index must agree with the

@@ -438,11 +438,12 @@ void ExpectBitIdentical(const EncodedRelation& serial,
   }
 }
 
-// Random WHERE clause over `table`: 1–2 column=value conditions, values
-// mostly drawn from stored rows (hits), sometimes ⊥ (matches exactly
-// the ⊥ cells) or a constant no dictionary has seen (matches nothing).
-std::vector<ColumnCondition> RandomConditions(Rng* rng, const Table& table) {
-  std::vector<ColumnCondition> conds;
+// Random WHERE clause over `table`: a conjunction of 1–2 column = value
+// atoms, values mostly drawn from stored rows (hits), sometimes ⊥
+// (matches exactly the ⊥ cells) or a constant no dictionary has seen
+// (matches nothing).
+Predicate RandomEqualities(Rng* rng, const Table& table) {
+  Conjunction conj;
   const int k = 1 + static_cast<int>(rng->Index(2));
   for (int i = 0; i < k; ++i) {
     const AttributeId col =
@@ -455,9 +456,9 @@ std::vector<ColumnCondition> RandomConditions(Rng* rng, const Table& table) {
     } else {
       v = Value::Str("never-stored");
     }
-    conds.push_back({col, std::move(v)});
+    conj.push_back(Cmp(col, CompareOp::kEq, std::move(v)));
   }
-  return conds;
+  return Predicate::And(std::move(conj));
 }
 
 // --- Executor sweep 1: projections, joins, and the Theorem-11 lossless
@@ -670,8 +671,9 @@ TEST(DifferentialTest, ExecutorJoinCorners) {
 }
 
 // --- Executor sweep 2: DML on codes vs DML on rows. SelectRowsEncoded,
-// UpdateWhereEncoded and DeleteWhereEncoded against the predicate-based
-// reference operators with the equivalent ColumnCondition predicate.
+// UpdateWhereEncoded and DeleteWhereEncoded against the row-major
+// reference operators, which evaluate the same WHERE through the
+// MatchesPredicate oracle.
 TEST(DifferentialTest, ExecutorDmlOnCodes) {
   Rng rng(31337);
   const int tables = ScaledIters(100);
@@ -682,14 +684,14 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
         RandomInstance(&rng, schema, static_cast<int>(rng.Uniform(0, 50)),
                        /*domain=*/3, rng.NextDouble() * 0.5);
     const std::string what = "dml iter=" + std::to_string(iter);
-    const std::vector<ColumnCondition> conds = RandomConditions(&rng, table);
-    auto pred = [&](const Tuple& t) { return MatchesConditions(t, conds); };
+    const Predicate where = RandomEqualities(&rng, table);
+    auto pred = [&](const Tuple& t) { return MatchesPredicate(t, where); };
 
     // Selection: same rows, in the same (ascending) scan order, and the
     // morsel-parallel scan returns the exact same vector as serial.
     const EncodedTable enc(table);
     const Table sel_ref = SelectWhere(table, pred);
-    const std::vector<int> sel = SelectRowsEncoded(enc, conds);
+    const std::vector<int> sel = SelectRowsEncoded(enc, where);
     const Table sel_enc = enc.GatherRows(sel).Decode(schema);
     EXPECT_EQ(sel_ref.num_rows(), sel_enc.num_rows()) << what;
     for (int i = 0; i < sel_ref.num_rows() && i < sel_enc.num_rows(); ++i) {
@@ -701,7 +703,7 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
       for (const simd::Level level : SweepLevels()) {
         simd::SetLevelForTesting(level);
         for (int threads : {1, 2, 3, 8}) {
-          EXPECT_EQ(SelectRowsEncoded(enc, conds, ParallelOptions{threads}),
+          EXPECT_EQ(SelectRowsEncoded(enc, where, ParallelOptions{threads}),
                     sel)
               << what << " t=" << threads << " level "
               << simd::LevelName(level);
@@ -728,7 +730,7 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
       auto changed_ref = UpdateWhere(&upd_ref, pred, target, new_value);
       ASSERT_OK(changed_ref.status()) << what;
       const int changed_enc =
-          UpdateWhereEncoded(&upd_enc, conds, target, new_value);
+          UpdateWhereEncoded(&upd_enc, where, target, new_value);
       EXPECT_EQ(changed_ref.value(), changed_enc) << what;
       EXPECT_TRUE(upd_ref.SameMultiset(upd_enc.Decode(schema))) << what;
     }
@@ -737,7 +739,7 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
     Table del_ref = table;
     EncodedTable del_enc(table);
     const int removed_ref = DeleteWhere(&del_ref, pred);
-    const int removed_enc = DeleteWhereEncoded(&del_enc, conds);
+    const int removed_enc = DeleteWhereEncoded(&del_enc, where);
     EXPECT_EQ(removed_ref, removed_enc) << what;
     EXPECT_TRUE(del_ref.SameMultiset(del_enc.Decode(schema))) << what;
   }
@@ -768,9 +770,8 @@ TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
 
     const int ops = static_cast<int>(rng.Uniform(3, 8));
     for (int op = 0; op < ops; ++op) {
-      const std::vector<ColumnCondition> conds =
-          RandomConditions(&rng, shadow);
-      auto pred = [&](const Tuple& t) { return MatchesConditions(t, conds); };
+      const Predicate where = RandomEqualities(&rng, shadow);
+      auto pred = [&](const Tuple& t) { return MatchesPredicate(t, where); };
       const int kind = static_cast<int>(rng.Index(4));
       if (kind == 0) {  // INSERT
         std::vector<Value> row;
@@ -783,20 +784,20 @@ TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
         ASSERT_OK(db.Insert(schema.name(), t)) << what;
         ASSERT_OK(shadow.AddRow(t)) << what;
       } else if (kind == 1) {  // SELECT
-        auto got = db.Select(schema.name(), conds);
+        auto got = db.Select(schema.name(), where);
         ASSERT_OK(got.status()) << what;
         EXPECT_TRUE(SelectWhere(shadow, pred).SameMultiset(got.value()))
             << what;
       } else if (kind == 2) {  // UPDATE (non-⊥ value: Σ empty, NFS empty)
         const AttributeId target = static_cast<AttributeId>(rng.Index(cols));
         const Value v = Value::Int(rng.Uniform(0, 2));
-        auto changed = db.Update(schema.name(), conds, target, v);
+        auto changed = db.Update(schema.name(), where, target, v);
         ASSERT_OK(changed.status()) << what;
         auto changed_ref = UpdateWhere(&shadow, pred, target, v);
         ASSERT_OK(changed_ref.status()) << what;
         EXPECT_EQ(changed.value(), changed_ref.value()) << what;
       } else {  // DELETE
-        auto removed = db.Delete(schema.name(), conds);
+        auto removed = db.Delete(schema.name(), where);
         ASSERT_OK(removed.status()) << what;
         EXPECT_EQ(removed.value(), DeleteWhere(&shadow, pred)) << what;
       }

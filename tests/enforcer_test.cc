@@ -15,6 +15,7 @@ using testing::RandomSchema;
 using testing::RandomSigma;
 using testing::Schema;
 using testing::Sigma;
+using testing::WhereEq;
 
 TEST(EnforcerTest, BasicConflicts) {
   WriterScope writer;
@@ -126,16 +127,11 @@ TEST(EnforcerTest, EncodingStaysConsistentAcrossWriteWorkload) {
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value target = Value::Int(rng.Uniform(0, 2));
         // Touch roughly half the rows matching on `col`.
-        (void)db.Update(
-            "T",
-            [&](const Tuple& t) { return t[col] == target; }, col,
-            random_value());
+        (void)db.Update("T", WhereEq(col, target), col, random_value());
       } else {
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value target = Value::Int(rng.Uniform(0, 2));
-        ASSERT_OK(db.Delete(
-            "T", [&](const Tuple& t) { return t[col] == target; })
-                      .status());
+        ASSERT_OK(db.Delete("T", WhereEq(col, target)).status());
       }
       ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
       ASSERT_TRUE(

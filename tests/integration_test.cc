@@ -13,7 +13,7 @@
 #include "sqlnf/discovery/discover.h"
 #include "sqlnf/engine/csv.h"
 #include "sqlnf/engine/ddl.h"
-#include "sqlnf/engine/sql.h"
+#include "sqlnf/engine/session.h"
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/normalform/normal_forms.h"
 #include "sqlnf/normalform/redundancy.h"
@@ -157,8 +157,9 @@ TEST(IntegrationTest, DdlRoundTripsThroughSqlEngine) {
   std::string ddl = EmitDecompositionDdl(design, vrnf);
 
   Database db;
-  SqlSession sql(&db);
-  ASSERT_OK(sql.ExecuteScript(ddl).status()) << ddl;
+  SessionRegistry registry(&db);
+  const ResultSet created = Session(&registry).Execute(ddl);
+  ASSERT_OK(created.status) << ddl;
   // Both component tables exist.
   EXPECT_EQ(db.TableNames().size(), 2u);
 

@@ -27,6 +27,7 @@ namespace {
 using testing::Rows;
 using testing::Schema;
 using testing::Sigma;
+using testing::WhereEq;
 
 Tuple Row(std::initializer_list<const char*> cells) {
   std::vector<Value> values;
@@ -117,20 +118,20 @@ TEST(SnapshotTest, SelectFromSnapshotMatchesMaterialized) {
 
   ASSERT_OK_AND_ASSIGN(
       Table hits,
-      SelectFromSnapshot(snap, {{1, Value::Str("x")}}));
+      SelectFromSnapshot(snap, WhereEq(1, Value::Str("x"))));
   EXPECT_EQ(hits.num_rows(), 3);
   ASSERT_OK_AND_ASSIGN(
-      Table nulls, SelectFromSnapshot(snap, {{2, Value::Null()}}));
+      Table nulls, SelectFromSnapshot(snap, WhereEq(2, Value::Null())));
   EXPECT_EQ(nulls.num_rows(), 1);  // marker equality: ⊥ matches ⊥
   EXPECT_FALSE(
-      SelectFromSnapshot(snap, {{7, Value::Str("x")}}).ok());
+      SelectFromSnapshot(snap, WhereEq(7, Value::Str("x"))).ok());
 
   // The snapshot keeps serving after the table is dropped — columns
   // are refcounted, not epoch-swept.
   ASSERT_OK(db.DropTable("T"));
   ASSERT_OK_AND_ASSIGN(
       Table after_drop,
-      SelectFromSnapshot(snap, {{1, Value::Str("x")}}));
+      SelectFromSnapshot(snap, WhereEq(1, Value::Str("x"))));
   EXPECT_EQ(after_drop.num_rows(), 3);
 }
 
@@ -195,7 +196,7 @@ TEST(SnapshotTest, ConcurrentReadersSeeCommittedPrefixesOnly) {
         // Exercise the read path end to end as well.
         if (s.num_rows() > 0) {
           const auto [a, b] = cell(s.num_rows() - 1);
-          auto hit = SelectFromSnapshot(s, {{0, Value::Str(a)}});
+          auto hit = SelectFromSnapshot(s, WhereEq(0, Value::Str(a)));
           if (!hit.ok() || hit->num_rows() != 1) {
             ++failures;
             return;
@@ -227,8 +228,7 @@ TEST(SnapshotTest, ConcurrentReadersSeeCommittedPrefixesOnly) {
       ASSERT_OK(txn.begin_status());
       ASSERT_OK(db.Insert("T", Row({"uncommitted", "never"})));
       ASSERT_OK(
-          db.Update("T", std::vector<ColumnCondition>{{0, Value::Str("0")}},
-                    1, Value::Str("scribble"))
+          db.Update("T", WhereEq(0, Value::Str("0")), 1, Value::Str("scribble"))
               .status());
     }  // guard rolls back
   }
@@ -291,16 +291,18 @@ TEST(SnapshotTest, SelectMatchesPerRowDecodeReference) {
     ASSERT_OK(db.IngestTable(data, ConstraintSet()));
     ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
 
-    std::vector<ColumnCondition> where{
-        {static_cast<AttributeId>(rng.Index(n)),
-         rng.Chance(0.3) ? Value::Null() : Value::Int(rng.Uniform(0, 2))}};
+    const AttributeId col = static_cast<AttributeId>(rng.Index(n));
+    const Predicate where = WhereEq(
+        col, rng.Chance(0.3) ? Value::Null() : Value::Int(rng.Uniform(0, 2)));
     ASSERT_OK_AND_ASSIGN(Table got, db.Select("T", where));
 
     // Reference: per-row decode + row-major condition check, in order.
     Table want(schema);
     for (int i = 0; i < stored->num_rows(); ++i) {
       const Tuple t = stored->DecodeRow(i);
-      if (MatchesConditions(t, where)) ASSERT_OK(want.AddRow(t));
+      if (MatchesPredicate(t, where)) {
+        ASSERT_OK(want.AddRow(t));
+      }
     }
     ASSERT_EQ(got.num_rows(), want.num_rows()) << "trial=" << trial;
     const AttributeSet all = AttributeSet::FullSet(n);
@@ -403,14 +405,12 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
     if (k % 7 == 3) {
       // Strand a dictionary entry, then reclaim it: the next VACUUM
       // races the readers' in-flight snapshots.
-      ASSERT_OK(db.Update("T",
-                          std::vector<ColumnCondition>{{0, Value::Str(id(k))}},
-                          1, Value::Str("rewritten"))
+      ASSERT_OK(db.Update("T", WhereEq(0, Value::Str(id(k))), 1,
+                          Value::Str("rewritten"))
                     .status());
-      ASSERT_OK(db.Update("T",
-                          std::vector<ColumnCondition>{{0, Value::Str(id(k))}},
-                          1, Value::Str(b))
-                    .status());
+      ASSERT_OK(
+          db.Update("T", WhereEq(0, Value::Str(id(k))), 1, Value::Str(b))
+              .status());
     }
     if (k % 10 == 9) {
       ASSERT_OK_AND_ASSIGN(const int retired, db.CompactTable("T"));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sqlnf/engine/session.h"
 #include "test_util.h"
 
 namespace sqlnf {
@@ -144,9 +145,12 @@ TEST_F(SqlTest, ShowAndDescribe) {
   EXPECT_EQ(Must("SHOW TABLES;").rows->num_rows(), 0);
 }
 
+// Scripts run through the session layer (engine/session.h), the one
+// script entry point; SqlSession executes each statement.
 TEST_F(SqlTest, ScriptExecution) {
-  WriterScope writer;
-  auto results = sql_.ExecuteScript(R"(
+  SessionRegistry registry(&db_);
+  Session session(&registry);
+  const ResultSet results = session.Execute(R"(
     -- the paper's running example, enforced
     CREATE TABLE purchase (
       order_id TEXT NOT NULL,
@@ -159,19 +163,22 @@ TEST_F(SqlTest, ScriptExecution) {
     INSERT INTO purchase VALUES ('1', 'Fitbit', NULL, '240');
     SELECT * FROM purchase;
   )");
-  ASSERT_OK(results.status());
-  ASSERT_EQ(results->size(), 4u);  // CREATE + 2 INSERTs + SELECT
-  EXPECT_EQ(results->back().rows->num_rows(), 2);
+  ASSERT_OK(results.status);
+  ASSERT_EQ(results.statements.size(), 4u);  // CREATE + 2 INSERTs + SELECT
+  EXPECT_EQ(results.statements.back().rows->num_rows(), 2);
 }
 
 TEST_F(SqlTest, ScriptStopsAtFirstError) {
-  WriterScope writer;
-  auto results = sql_.ExecuteScript(
+  SessionRegistry registry(&db_);
+  Session session(&registry);
+  const ResultSet results = session.Execute(
       "CREATE TABLE t (a TEXT, UNIQUE (a));"
       "INSERT INTO t VALUES ('1');"
       "INSERT INTO t VALUES ('1');"  // rejected
       "INSERT INTO t VALUES ('2');");
   EXPECT_FALSE(results.ok());
+  EXPECT_EQ(results.statements.size(), 2u);  // the ones before the error
+  EXPECT_EQ(results.error.statement_index, 2);
   // The table kept its consistent state.
   QueryResult rows = Must("SELECT * FROM t;");
   EXPECT_EQ(rows.rows->num_rows(), 1);

@@ -14,6 +14,7 @@
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/constraints/parser.h"
 #include "sqlnf/core/table.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/util/rng.h"
 
 #define ASSERT_OK(expr) ASSERT_TRUE((expr).ok()) << (expr).ToString()
@@ -32,6 +33,12 @@ inline TableSchema Schema(std::string_view attrs,
   auto result = TableSchema::MakeCompact("T", attrs, not_null);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// WHERE column = value under marker equality: a ⊥ value matches
+/// exactly the ⊥ cells.
+inline Predicate WhereEq(AttributeId column, Value value) {
+  return Predicate::And({Cmp(column, CompareOp::kEq, std::move(value))});
 }
 
 /// Parses an FD in compact notation, asserting success.

@@ -17,6 +17,7 @@
 #include "reference_oracle.h"
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/session.h"
 #include "sqlnf/engine/sql.h"
 #include "test_util.h"
 
@@ -30,6 +31,7 @@ using testing::RandomSigma;
 using testing::Rows;
 using testing::Schema;
 using testing::Sigma;
+using testing::WhereEq;
 
 Tuple Row(std::initializer_list<const char*> cells) {
   std::vector<Value> values;
@@ -117,17 +119,13 @@ TEST(TxnTest, RollbackRestoresEveryTableBitIdentical) {
   ASSERT_OK(db.Insert("t1", Row({"4", "s", "new-value"})));
   ASSERT_OK_AND_ASSIGN(
       int changed,
-      db.Update("t1", std::vector<ColumnCondition>{{0, Value::Str("1")}},
-                2, Value::Str("fresh")));
+      db.Update("t1", WhereEq(0, Value::Str("1")), 2, Value::Str("fresh")));
   EXPECT_EQ(changed, 1);
-  ASSERT_OK_AND_ASSIGN(
-      int removed,
-      db.Delete("t1", std::vector<ColumnCondition>{{0, Value::Str("2")}}));
+  ASSERT_OK_AND_ASSIGN(int removed,
+                       db.Delete("t1", WhereEq(0, Value::Str("2"))));
   EXPECT_EQ(removed, 1);
   ASSERT_OK(db.Insert("t2", Row({"k3", "v3"})));
-  ASSERT_OK_AND_ASSIGN(
-      removed,
-      db.Delete("t2", std::vector<ColumnCondition>{{0, Value::Str("k1")}}));
+  ASSERT_OK_AND_ASSIGN(removed, db.Delete("t2", WhereEq(0, Value::Str("k1"))));
   EXPECT_EQ(removed, 1);
   ASSERT_OK(db.Rollback());
 
@@ -154,9 +152,8 @@ TEST(TxnTest, RejectedUpdateRetiresMintedDictionaryCodes) {
 
   // Updating b on only one of the two a=1 rows breaks a ->w b. The new
   // value "never-seen" is minted during the write, then must be retired.
-  auto rejected = db.Update(
-      "T", std::vector<ColumnCondition>{{2, Value::Str("p")}}, 1,
-      Value::Str("never-seen"));
+  auto rejected =
+      db.Update("T", WhereEq(2, Value::Str("p")), 1, Value::Str("never-seen"));
   ASSERT_FALSE(rejected.ok());
 
   EXPECT_EQ(stored->columns().dictionary_size(1), dict_before);
@@ -178,9 +175,8 @@ TEST(TxnTest, RejectedStatementInsideTransactionRollsBackOnlyItself) {
   // transaction stays open with the prior insert intact.
   EXPECT_FALSE(db.Insert("T", Row({"1", "z"})).ok());
   EXPECT_TRUE(db.InTransaction());
-  auto bad_update = db.Update(
-      "T", std::vector<ColumnCondition>{{0, Value::Str("2")}}, 0,
-      Value::Str("1"));
+  auto bad_update =
+      db.Update("T", WhereEq(0, Value::Str("2")), 0, Value::Str("1"));
   EXPECT_FALSE(bad_update.ok());
   ASSERT_OK(db.Commit());
 
@@ -246,27 +242,28 @@ TEST(TxnTest, NoNestingAndDdlBarred) {
 TEST(TxnTest, SqlBeginCommitRollbackVerbs) {
   WriterScope writer;
   Database db;
-  SqlSession session(&db);
-  ASSERT_OK(session
-                .ExecuteScript(
-                    "CREATE TABLE t (a TEXT NOT NULL, b TEXT);"
-                    "BEGIN TRANSACTION;"
-                    "INSERT INTO t VALUES ('1', 'x'), ('2', 'y');"
-                    "ROLLBACK;")
-                .status());
+  SessionRegistry registry(&db);
+  Session scripts(&registry);
+  const ResultSet rolled_back =
+      scripts.Execute("CREATE TABLE t (a TEXT NOT NULL, b TEXT);"
+                      "BEGIN TRANSACTION;"
+                      "INSERT INTO t VALUES ('1', 'x'), ('2', 'y');"
+                      "ROLLBACK;");
+  ASSERT_OK(rolled_back.status);
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("t"));
   EXPECT_EQ(stored->num_rows(), 0);
 
-  ASSERT_OK(session
-                .ExecuteScript(
-                    "BEGIN;"
-                    "INSERT INTO t VALUES ('1', 'x');"
-                    "UPDATE t SET b = 'z' WHERE a = '1';"
-                    "COMMIT;")
-                .status());
+  const ResultSet committed =
+      scripts.Execute("BEGIN;"
+                      "INSERT INTO t VALUES ('1', 'x');"
+                      "UPDATE t SET b = 'z' WHERE a = '1';"
+                      "COMMIT;");
+  ASSERT_OK(committed.status);
   EXPECT_EQ(stored->num_rows(), 1);
   EXPECT_EQ(stored->DecodeRow(0)[1], Value::Str("z"));
 
+  // Statement at a time: the transaction stays open between calls.
+  SqlSession session(&db);
   EXPECT_FALSE(session.Execute("COMMIT;").ok());  // nothing open
   ASSERT_OK(session.Execute("BEGIN WORK;").status());
   EXPECT_FALSE(session.Execute("DROP TABLE t;").ok());  // DDL barred
@@ -307,11 +304,11 @@ struct Reference {
   // Mirrors Database::Update semantics: matched on marker equality,
   // changed where the cell differs, NFS check, whole-statement
   // post-image validation.
-  bool ApplyUpdate(const std::vector<ColumnCondition>& conds,
-                   AttributeId col, const Value& value) {
+  bool ApplyUpdate(const Predicate& where, AttributeId col,
+                   const Value& value) {
     std::vector<int> changed;
     for (int i = 0; i < table.num_rows(); ++i) {
-      if (MatchesConditions(table.row(i), conds) &&
+      if (MatchesPredicate(table.row(i), where) &&
           !(table.row(i)[col] == value)) {
         changed.push_back(i);
       }
@@ -333,10 +330,10 @@ struct Reference {
     return true;
   }
 
-  void ApplyDelete(const std::vector<ColumnCondition>& conds) {
+  void ApplyDelete(const Predicate& where) {
     Table survivors(schema);
     for (int i = 0; i < table.num_rows(); ++i) {
-      if (!MatchesConditions(table.row(i), conds)) {
+      if (!MatchesPredicate(table.row(i), where)) {
         EXPECT_OK(survivors.AddRow(table.row(i)));
       }
     }
@@ -360,14 +357,14 @@ TEST(TxnTest, DifferentialMutationSequences) {
       return rng.Chance(0.2) ? Value::Null()
                              : Value::Int(rng.Uniform(0, 2));
     };
-    auto random_conditions = [&]() {
-      std::vector<ColumnCondition> conds;
+    auto random_where = [&]() {
+      Conjunction conj;
       const int k = static_cast<int>(rng.Uniform(0, 1));
       for (int j = 0; j <= k; ++j) {
-        conds.push_back({static_cast<AttributeId>(rng.Index(n)),
-                         random_value()});
+        const AttributeId col = static_cast<AttributeId>(rng.Index(n));
+        conj.push_back(Cmp(col, CompareOp::kEq, random_value()));
       }
-      return conds;
+      return Predicate::And(std::move(conj));
     };
 
     bool in_txn = false;
@@ -401,17 +398,17 @@ TEST(TxnTest, DifferentialMutationSequences) {
         ASSERT_EQ(engine_ok, oracle_ok)
             << "trial=" << trial << " step=" << step << " INSERT";
       } else if (roll < 0.82) {
-        const auto conds = random_conditions();
+        const Predicate where = random_where();
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value value = random_value();
-        const bool engine_ok = db.Update("T", conds, col, value).ok();
-        const bool oracle_ok = ref.ApplyUpdate(conds, col, value);
+        const bool engine_ok = db.Update("T", where, col, value).ok();
+        const bool oracle_ok = ref.ApplyUpdate(where, col, value);
         ASSERT_EQ(engine_ok, oracle_ok)
             << "trial=" << trial << " step=" << step << " UPDATE";
       } else {
-        const auto conds = random_conditions();
-        ASSERT_OK(db.Delete("T", conds).status());
-        ref.ApplyDelete(conds);
+        const Predicate where = random_where();
+        ASSERT_OK(db.Delete("T", where).status());
+        ref.ApplyDelete(where);
       }
       ASSERT_OK(stored->enforcer().CheckInvariants())
           << "trial=" << trial << " step=" << step;
@@ -438,7 +435,8 @@ TEST(TxnTest, VacuumBarredMidTransaction) {
   const TableSchema schema = Schema("ab");
   Database db;
   ASSERT_OK(db.IngestTable(Rows(schema, {"1x", "2y"}), ConstraintSet()));
-  ASSERT_OK(db.Update("T", {{0, Value::Str("1")}}, 0, Value::Str("3")).status());
+  ASSERT_OK(db.Update("T", WhereEq(0, Value::Str("1")), 0, Value::Str("3"))
+                .status());
 
   ASSERT_OK(db.Begin());
   const Result<int> barred = db.CompactTable("T");
@@ -488,10 +486,16 @@ TEST(TxnTest, CompactionCanonicalizesFingerprintsAcrossHistories) {
   Database detour;
   ASSERT_OK(detour.IngestTable(
       Rows(schema, {"7mp", "2yq", "8nn", "3zs"}), sigma));
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("7")}}, 0, Value::Str("1")).status());
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("1")}}, 1, Value::Str("x")).status());
-  ASSERT_OK(detour.Delete("T", {{0, Value::Str("8")}}).status());
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("3")}}, 2, Value::Str("r")).status());
+  ASSERT_OK(
+      detour.Update("T", WhereEq(0, Value::Str("7")), 0, Value::Str("1"))
+          .status());
+  ASSERT_OK(
+      detour.Update("T", WhereEq(0, Value::Str("1")), 1, Value::Str("x"))
+          .status());
+  ASSERT_OK(detour.Delete("T", WhereEq(0, Value::Str("8"))).status());
+  ASSERT_OK(
+      detour.Update("T", WhereEq(0, Value::Str("3")), 2, Value::Str("r"))
+          .status());
 
   ASSERT_OK_AND_ASSIGN(const StoredTable* a, straight.Find("T"));
   ASSERT_OK_AND_ASSIGN(const StoredTable* b, detour.Find("T"));

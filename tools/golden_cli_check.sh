@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Golden-output gate for the CLI front ends (ISSUE acceptance
-# criterion): `sqlnf query` and `sqlnf validate` must stay
-# byte-identical across the session/result refactor. The goldens in
-# tests/golden/ were captured from the pre-refactor CLI on the
-# contractor corpus; any diff here means the service layers changed
-# user-visible output.
+# Golden-output gate for the CLI front ends: `sqlnf query`,
+# `sqlnf validate` and `sqlnf shell` must stay byte-identical across
+# refactors of the layers under them. The query/validate goldens in
+# tests/golden/ were captured on the contractor corpus before the
+# session/result refactor; the shell goldens (s1-s3, inputs in
+# tests/golden/s*.sql) before the shell moved onto engine/session.h.
+# Any diff here means user-visible output changed.
 #
 # Usage: golden_cli_check.sh <sqlnf_binary> <golden_dir>
 set -u
@@ -55,7 +56,36 @@ if [ "$status" -ne 1 ]; then
   fail=1
 fi
 
-for case in q1 q2 v1; do
+# s1-s3: the SQL shell. Each golden holds stdout, then a "--- stderr"
+# line and stderr, so a message that moves between the streams shows.
+shell_case() {
+  name="$1"
+  want="$2"
+  shift 2
+  "$sqlnf" shell "$@" > "$work/$name.txt" 2> "$work/$name.err"
+  status=$?
+  printf '\n--- stderr\n' >> "$work/$name.txt"
+  cat "$work/$name.err" >> "$work/$name.txt"
+  if [ "$status" -ne "$want" ]; then
+    echo "FAIL: $name exited $status (want $want)"
+    fail=1
+  fi
+}
+
+# s1: script mode — DDL with CERTAIN KEY / CERTAIN FD, a transaction
+# whose SELECT sees its own uncommitted row, ROLLBACK, SHOW, DESCRIBE.
+shell_case s1 0 "$golden/s1.sql" < /dev/null
+
+# s2: the same statements on stdin, then a rejected INSERT; the
+# interactive shell prints the error on stdout and keeps going.
+cat "$golden/s1.sql" "$golden/s2.sql" > "$work/s2.in"
+shell_case s2 0 < "$work/s2.in"
+
+# s3: script mode stops at the rejected second statement: exit 1, the
+# error on stderr, nothing on stdout.
+shell_case s3 1 "$golden/s3.sql" < /dev/null
+
+for case in q1 q2 v1 s1 s2 s3; do
   if ! diff -u "$golden/$case.txt" "$work/$case.txt"; then
     echo "FAIL: $case output diverged from tests/golden/$case.txt"
     fail=1
@@ -65,5 +95,5 @@ done
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "OK: CLI output byte-identical to the pre-refactor goldens."
+echo "OK: CLI output byte-identical to the goldens in tests/golden/."
 exit 0

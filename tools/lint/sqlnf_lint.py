@@ -19,10 +19,7 @@ preference:
                         process ids, or env vars in library code (the
                         seeded util/rng.h is the sanctioned source of
                         randomness; benches and tests may time things).
-                        One pinned exemption: the SQLNF_SIMD_LEVEL
-                        getenv() in core/simd_kernels.cc — the SIMD
-                        bit-identity contract means the dispatch level
-                        selects an implementation, never an answer.
+                        No exemptions.
 
   simd-confinement      Intrinsics headers (immintrin.h, arm_neon.h,
                         ...) and SQLNF_SIMD_* feature macros live ONLY
@@ -211,15 +208,6 @@ _NONDET_PATTERNS = [
     (re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
 ]
 
-# Pinned (file, pattern) exemptions. simd_kernels.cc reads
-# SQLNF_SIMD_LEVEL once to cap the dispatch level; the kernels are
-# bit-identical across levels by contract (enforced by the
-# level-sweeping fuzz/differential harnesses), so the env var can
-# change speed but never a result.
-_NONDET_EXEMPT = {
-    ("src/sqlnf/core/simd_kernels.cc", "getenv()"),
-}
-
 
 def check_nondeterminism(root: Path) -> list[Finding]:
     findings = []
@@ -228,8 +216,6 @@ def check_nondeterminism(root: Path) -> list[Finding]:
         for lineno, raw in enumerate(path.read_text().splitlines(), 1):
             line = _strip_comments_and_strings(raw)
             for pattern, what in _NONDET_PATTERNS:
-                if (rel, what) in _NONDET_EXEMPT:
-                    continue
                 if pattern.search(line):
                     findings.append(Finding(
                         rel, lineno, "nondeterminism",

@@ -51,7 +51,7 @@ class OrderedCodeCompareTest(unittest.TestCase):
 class NondeterminismTest(unittest.TestCase):
     def test_flags_rand_clock_and_getenv(self):
         findings = sqlnf_lint.check_nondeterminism(TESTDATA / "nondet")
-        self.assertEqual(len(findings), 3,
+        self.assertEqual(len(findings), 4,
                          "\n".join(str(f) for f in findings))
         messages = " ".join(f.message for f in findings)
         self.assertIn("rand()", messages)
@@ -62,12 +62,14 @@ class NondeterminismTest(unittest.TestCase):
         findings = sqlnf_lint.check_nondeterminism(TESTDATA / "clean")
         self.assertEqual(findings, [])
 
-    def test_simd_dispatch_getenv_is_exempt(self):
-        # The pinned (simd_kernels.cc, getenv) pair never fires; the
-        # fixture tree carries that exact call to prove it.
+    def test_simd_dispatch_getenv_is_reported(self):
+        # The rule has no exemptions: a getenv() in the SIMD kernel
+        # file is a finding like any other.
         findings = sqlnf_lint.check_nondeterminism(TESTDATA / "nondet")
-        self.assertNotIn("src/sqlnf/core/simd_kernels.cc",
-                         {f.path for f in findings})
+        hits = [f for f in findings
+                if f.path == "src/sqlnf/core/simd_kernels.cc"]
+        self.assertEqual(len(hits), 1, "\n".join(str(f) for f in findings))
+        self.assertIn("getenv()", hits[0].message)
 
 
 class SimdConfinementTest(unittest.TestCase):

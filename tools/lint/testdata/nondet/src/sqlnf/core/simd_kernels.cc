@@ -1,7 +1,7 @@
 #include <cstdlib>
 namespace sqlnf::simd {
 int EnvLevel() {
-  // EXEMPT: the pinned SQLNF_SIMD_LEVEL dispatch-cap read.
+  // VIOLATION: the nondeterminism rule has no exemptions, not even here.
   const char* env = std::getenv("SQLNF_SIMD_LEVEL");
   return env != nullptr ? 1 : 0;
 }

@@ -28,9 +28,9 @@
 //   sqlnf corpus <name> <out.csv>
 //       Write a built-in corpus (contractor, uci_adult, ...) to a CSV.
 //
-// query and validate are thin renderers over the same session layer
-// the server uses (engine/session.h): one execution pipeline, two
-// transports.
+// query, validate and shell are thin renderers over the same session
+// layer the server uses (engine/session.h): one execution pipeline,
+// two transports.
 //
 // Design file format: see sqlnf/constraints/serialize.h.
 
@@ -58,7 +58,6 @@
 #include "sqlnf/engine/csv.h"
 #include "sqlnf/engine/ddl.h"
 #include "sqlnf/engine/session.h"
-#include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/net/server.h"
 #include "sqlnf/net/service.h"
@@ -104,20 +103,30 @@ int Usage() {
   return 2;
 }
 
+/// Writes each statement's QueryResult::ToString() to stdout, in order.
+void PrintStatements(const ResultSet& rs) {
+  for (const QueryResult& result : rs.statements) {
+    std::printf("%s\n", result.ToString().c_str());
+  }
+}
+
 int CmdShell(const std::string& path) {
-  WriterScope writer;  // the CLI is single-threaded: it owns the writer role
   Database db;
-  SqlSession session(&db);
+  SessionRegistry registry(&db);
+  // One user, so a transaction may stay open from one script (or
+  // interactive chunk) to the next; reads inside it take the writer
+  // path and see its uncommitted rows.
+  SessionOptions options;
+  options.allow_open_transaction = true;
+  Session session(&registry, options);
   if (!path.empty()) {
     std::ifstream in(path);
     if (!in) return Fail(Status::IoError("cannot open " + path));
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    auto results = session.ExecuteScript(buffer.str());
-    if (!results.ok()) return Fail(results.status());
-    for (const QueryResult& result : *results) {
-      std::printf("%s\n", result.ToString().c_str());
-    }
+    const ResultSet rs = session.Execute(buffer.str());
+    if (!rs.ok()) return Fail(rs.status);
+    PrintStatements(rs);
     return 0;
   }
   // Interactive: one statement per ';'-terminated chunk from stdin.
@@ -128,13 +137,11 @@ int CmdShell(const std::string& path) {
   while (std::getline(std::cin, line)) {
     buffer += line + "\n";
     if (line.find(';') != std::string::npos) {
-      auto results = session.ExecuteScript(buffer);
-      if (!results.ok()) {
-        std::printf("error: %s\n", results.status().ToString().c_str());
+      const ResultSet rs = session.Execute(buffer);
+      if (!rs.ok()) {
+        std::printf("error: %s\n", rs.status.ToString().c_str());
       } else {
-        for (const QueryResult& result : *results) {
-          std::printf("%s\n", result.ToString().c_str());
-        }
+        PrintStatements(rs);
       }
       buffer.clear();
     }
@@ -290,14 +297,18 @@ int CmdValidate(const std::string& path, const std::string& sigma_text,
   return report.violated == 0 ? 0 : 1;
 }
 
-int CmdQuery(const std::string& path, const std::string& sql) {
-  // The table is named after the file stem: data/contractor.csv is
-  // queried as `contractor`.
+/// File stem: data/contractor.csv → contractor.
+std::string TableStem(const std::string& path) {
   std::string stem = path;
   const size_t slash = stem.find_last_of("/\\");
   if (slash != std::string::npos) stem = stem.substr(slash + 1);
   const size_t dot = stem.find_last_of('.');
   if (dot != std::string::npos && dot > 0) stem = stem.substr(0, dot);
+  return stem;
+}
+
+int CmdQuery(const std::string& path, const std::string& sql) {
+  const std::string stem = TableStem(path);
   CsvOptions options;
   options.table_name = stem;
   auto table = ReadCsvFile(path, options);
@@ -318,9 +329,7 @@ int CmdQuery(const std::string& path, const std::string& sql) {
   Session session(&registry);
   const ResultSet rs = session.Execute(sql);
   if (!rs.ok()) return FailDetail(rs.error);
-  for (const QueryResult& result : rs.statements) {
-    std::printf("%s\n", result.ToString().c_str());
-  }
+  PrintStatements(rs);
   return 0;
 }
 
@@ -358,16 +367,6 @@ int CmdAdvise(const std::string& path) {
   }
   std::printf("%s", EmitDecompositionDdl(design, *result).c_str());
   return 0;
-}
-
-/// File stem: data/contractor.csv → contractor.
-std::string TableStem(const std::string& path) {
-  std::string stem = path;
-  const size_t slash = stem.find_last_of("/\\");
-  if (slash != std::string::npos) stem = stem.substr(slash + 1);
-  const size_t dot = stem.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) stem = stem.substr(0, dot);
-  return stem;
 }
 
 int CmdServe(const std::vector<std::string>& args) {
