@@ -52,7 +52,7 @@ int Run() {
   double indexed_ms = TimeMs([&] {
     WriterScope writer;
     for (const Tuple& row : big.rows()) {
-      if (!enforcer.Check(row)) {
+      if (!enforcer.Check(row, indexed_table.num_rows())) {
         enforcer.Add(row, indexed_table.num_rows());
         bench::CheckOk(indexed_table.AddRow(row), "add");
       }

@@ -27,9 +27,6 @@
 //     popcount(mask) ids are memcpy'd out, because the destination
 //     window is exactly sized per ParallelEmit chunk and a full
 //     32-byte store would stomp the neighbouring chunk's window.
-//   * 64-bit FNV multiply — AVX2 lacks a 64-bit mullo; the FNV
-//     prime 0x100000001B3 is split into hi/lo halves and reassembled
-//     from three 32×32→64 mul_epu32 partial products.
 
 #include "sqlnf/core/simd_kernels.h"
 
@@ -455,22 +452,6 @@ SQLNF_SIMD_TARGET_AVX2 void EqCodeAvx2(const uint32_t* codes, int n,
   EqCodeScalar(codes + i, n - i, want, and_mode, out + i);
 }
 
-SQLNF_SIMD_TARGET_AVX2 void NeCodeAvx2(const uint32_t* codes, int n,
-                                       uint32_t want, bool and_mode,
-                                       uint8_t* out) {
-  const __m256i w = _mm256_set1_epi32(static_cast<int>(want));
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    uint32_t m = static_cast<uint32_t>(_mm256_movemask_ps(
-                     _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, w)))) ^
-                 0xFFu;
-    StoreMask8(m, and_mode, out + i);
-  }
-  NeCodeScalar(codes + i, n - i, want, and_mode, out + i);
-}
-
 SQLNF_SIMD_TARGET_AVX2 void CodeIntervalAvx2(const uint32_t* codes, int n,
                                              uint32_t lo, uint32_t span,
                                              bool and_mode, uint8_t* out) {
@@ -543,20 +524,6 @@ SQLNF_SIMD_TARGET_AVX2 void ByteTableAvx2(const uint32_t* codes, int n,
   ByteTableScalar(codes + i, n - i, table, d, and_mode, out + i);
 }
 
-SQLNF_SIMD_TARGET_AVX2 void OrBytesAvx2(const uint8_t* src, int n,
-                                        uint8_t* dst) {
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(s, d));
-  }
-  OrBytesScalar(src + i, n - i, dst + i);
-}
-
 SQLNF_SIMD_TARGET_AVX2 int64_t CountBytesAvx2(const uint8_t* bytes, int n) {
   __m256i acc = _mm256_setzero_si256();
   const __m256i zero = _mm256_setzero_si256();
@@ -603,31 +570,6 @@ SQLNF_SIMD_TARGET_AVX2 int CompressStoreAvx2(const uint8_t* match, int n,
   return count;
 }
 
-// (h ^ code) * kFnv64Prime over four 64-bit lanes. The prime splits as
-// hi 0x100 / lo 0x1B3; the product is rebuilt from mul_epu32 partials:
-//   res = lo(x)*0x1B3 + ((lo(x)*0x100 + hi(x)*0x1B3) << 32).
-// No 128-bit variant: an SSE2 version (two lanes per multiply)
-// measured slower than the scalar loop in E19.
-SQLNF_SIMD_TARGET_AVX2 void FnvMixCodesAvx2(const uint32_t* codes, int n,
-                                            uint64_t* h) {
-  const __m256i p_lo = _mm256_set1_epi64x(0x1B3);
-  const __m256i p_hi = _mm256_set1_epi64x(0x100);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i hv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i));
-    __m256i c = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
-    __m256i x = _mm256_xor_si256(hv, c);
-    __m256i lo_part = _mm256_mul_epu32(x, p_lo);
-    __m256i mid =
-        _mm256_add_epi64(_mm256_mul_epu32(x, p_hi),
-                         _mm256_mul_epu32(_mm256_srli_epi64(x, 32), p_lo));
-    __m256i res = _mm256_add_epi64(lo_part, _mm256_slli_epi64(mid, 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + i), res);
-  }
-  FnvMixCodesScalar(codes + i, n - i, h + i);
-}
-
 SQLNF_SIMD_TARGET_AVX2 void FoldMaskAvx2(const uint64_t* h, int n,
                                          uint64_t mask, uint32_t* out) {
   const __m256i maskv = _mm256_set1_epi64x(static_cast<long long>(mask));
@@ -643,20 +585,6 @@ SQLNF_SIMD_TARGET_AVX2 void FoldMaskAvx2(const uint64_t* h, int n,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), packed);
   }
   FoldMaskScalar(h + i, n - i, mask, out + i);
-}
-
-SQLNF_SIMD_TARGET_AVX2 void GatherCodesAvx2(const uint32_t* codes,
-                                            const int* rows, int n,
-                                            uint32_t* out) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-    __m256i g =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(codes), r, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
-  }
-  GatherCodesScalar(codes, rows + i, n - i, out + i);
 }
 
 #endif  // SQLNF_SIMD_HAVE_AVX2
@@ -728,12 +656,7 @@ void NeCode(Level level, const uint32_t* codes, int n, uint32_t want,
             Store store, uint8_t* out) {
   const bool and_mode = store == Store::kAnd;
   const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) {
-    NeCodeAvx2(codes, n, want, and_mode, out);
-    return;
-  }
-#endif
+  // No AVX2 variant: it beat SSE2 by under 1.3× in E19.
 #if SQLNF_SIMD_X86
   if (l >= Level::kSimd128) {
     NeCodeSse2(codes, n, want, and_mode, out);
@@ -807,12 +730,7 @@ void ByteTable(Level level, const uint32_t* codes, int n,
 
 void OrBytes(Level level, const uint8_t* src, int n, uint8_t* dst) {
   const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) {
-    OrBytesAvx2(src, n, dst);
-    return;
-  }
-#endif
+  // No AVX2 variant: it beat SSE2 by under 1.3× in E19.
 #if SQLNF_SIMD_X86
   if (l >= Level::kSimd128) {
     OrBytesSse2(src, n, dst);
@@ -846,14 +764,10 @@ int CompressStore(Level level, const uint8_t* match, int n, int base,
 }
 
 void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h) {
-  const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) {
-    FnvMixCodesAvx2(codes, n, h);
-    return;
-  }
-#endif
-  (void)l;
+  // No vector variant: the 64-bit multiply is port-bound, and neither
+  // SSE2 (two lanes per multiply) nor AVX2 (four lanes rebuilt from
+  // mul_epu32 partial products) beat this loop by 1.3× in E19.
+  (void)level;
   FnvMixCodesScalar(codes, n, h);
 }
 
@@ -878,14 +792,9 @@ void FoldMask(Level level, const uint64_t* h, int n, uint64_t mask,
 
 void GatherCodes(Level level, const uint32_t* codes, const int* rows, int n,
                  uint32_t* out) {
-  const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) {
-    GatherCodesAvx2(codes, rows, n, out);
-    return;
-  }
-#endif
-  (void)l;
+  // No vector variant: random-access loads bound it, and the AVX2
+  // i32gather beat this loop by under 1.3× in E19.
+  (void)level;
   GatherCodesScalar(codes, rows, n, out);
 }
 

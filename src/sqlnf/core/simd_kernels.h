@@ -10,8 +10,10 @@
 // Each kernel ships in up to three compile-time ISA variants — a scalar
 // reference (auto-vectorization disabled: it is the differential
 // oracle), a portable 128-bit path (SSE2 on x86-64, NEON on AArch64),
-// and AVX2 — selected by the explicit `Level` argument. A kernel with
-// no 128-bit variant runs its scalar reference at kSimd128. Call sites
+// and AVX2 — selected by the explicit `Level` argument. A variant
+// stays only if it beats the level below it by ≥ 1.3× in E19
+// (BENCH_simd.json); a level without a variant of its own runs the
+// next lower one, down to the scalar reference. Call sites
 // pass ActiveLevel(), the runtime CPU detection; tests pass levels
 // directly (or pin ActiveLevel with SetLevelForTesting) to sweep them.
 // Every dispatcher clamps the requested level to what the CPU actually
@@ -122,7 +124,7 @@ int CompressStore(Level level, const uint8_t* match, int n, int base,
 /// h[i] = (h[i] ^ codes[i]) * kFnv64Prime — one FNV-1a column fold
 /// over a row range. Chaining per key column reproduces
 /// CodeHashIndex::HashKey exactly (same mix order per row). Scalar at
-/// kSimd128; only AVX2 has a vector variant.
+/// every level: neither an SSE2 nor an AVX2 variant beat it by 1.3×.
 void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h);
 
 /// out[i] = uint32((h[i] ^ (h[i] >> 32)) & mask): the bucket-id fold
@@ -132,6 +134,7 @@ void FoldMask(Level level, const uint64_t* h, int n, uint64_t mask,
               uint32_t* out);
 
 /// out[i] = codes[rows[i]]: the row-list gather of radix bucketing.
+/// Scalar at every level: the AVX2 gather did not beat it by 1.3×.
 void GatherCodes(Level level, const uint32_t* codes, const int* rows,
                  int n, uint32_t* out);
 

@@ -1,7 +1,6 @@
 #include "sqlnf/engine/catalog.h"
 
 #include "sqlnf/core/similarity.h"
-#include "sqlnf/engine/validate.h"
 
 namespace sqlnf {
 
@@ -41,23 +40,6 @@ std::optional<Violation> ValidateRowAgainst(const Table& table,
   }
   return std::nullopt;
 }
-
-namespace {
-
-/// First violation in the encoded instance, if any — the whole-statement
-/// post-image check of the UPDATE path, running entirely on codes.
-std::optional<Violation> FindViolationEncoded(const EncodedTable& enc,
-                                              const ConstraintSet& sigma) {
-  for (const auto& fd : sigma.fds()) {
-    if (auto v = FindFdViolationEncoded(enc, fd)) return v;
-  }
-  for (const auto& key : sigma.keys()) {
-    if (auto v = FindKeyViolationEncoded(enc, key)) return v;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 Tuple StoredTable::DecodeRow(int row) const {
   const EncodedTable& enc = columns();
@@ -104,19 +86,15 @@ Status Database::IngestTable(const Table& data, ConstraintSet sigma) {
   }
   const std::string& name = data.schema().name();
   SQLNF_RETURN_NOT_OK(CreateTableLocked(data.schema(), std::move(sigma)));
-  // One implicit transaction around the bulk load: no snapshot is
-  // republished per row, so copy-on-write never clones mid-ingest.
-  txn_ = std::make_unique<UndoLog>();
+  // Auto-commit inserts only mark the table dirty, and mu_ is held for
+  // the whole load, so no reader can publish a half-loaded table.
   for (const Tuple& row : data.rows()) {
     Status st = InsertLocked(name, row);
     if (!st.ok()) {
-      txn_.reset();
       tables_.erase(name);
       return st;
     }
   }
-  txn_.reset();
-  tables_.find(name)->second.MarkDirty(mu_);
   return Status::OK();
 }
 
@@ -176,11 +154,11 @@ Status Database::InsertLocked(const std::string& name, Tuple row) {
                            std::to_string(row.size()) + ", expected " +
                            std::to_string(stored->num_columns()));
   }
-  if (auto violation = stored->enforcer().Check(row)) {
+  const int row_id = stored->num_rows();
+  if (auto violation = stored->enforcer().Check(row, row_id)) {
     return Status::FailedPrecondition(
         "INSERT rejected: " + violation->ToString(stored->schema()));
   }
-  const int row_id = stored->num_rows();
   if (txn_) {
     // Pin the committed state for readers, then log the inverse. Touch
     // runs BEFORE the mutation so the dictionary high-water marks
@@ -233,10 +211,6 @@ Result<int> Database::Update(const std::string& name,
     if (enc.code(column, i) != want) changed.push_back(i);
   }
   if (changed.empty()) return 0;
-  if (value.is_null() && stored->schema().nfs().Contains(column)) {
-    return Status::FailedPrecondition(
-        "UPDATE rejected: NOT NULL column cannot hold NULL");
-  }
   if (txn_) {
     stored->PinSnapshot(mu_);
     txn_->Touch(stored->schema().name(), enc);
@@ -252,20 +226,21 @@ Result<int> Database::Update(const std::string& name,
     r.pre_image = stored->DecodeRow(i);
     statement.ops.push_back(std::move(r));
   }
-  // Flip the changed slots in place: unindex each row under its
-  // PRE-image codes, then re-add the post-image (which re-encodes the
-  // slot). Untouched rows keep their ids — no rebuild, no copy.
+  // Flip the changed slots in place: unindex them all under their
+  // PRE-image codes, then check and re-add each post-image, so it meets
+  // the unchanged rows and the post-images before it. After a violation
+  // the rest are re-added unchecked, so the rollback finds every slot
+  // indexed. Untouched rows keep their ids — no rebuild, no copy.
   IncrementalEnforcer& enforcer = stored->enforcer();
+  for (int i : changed) enforcer.Remove(i);
+  std::optional<Violation> violation;
   for (const UndoRecord& r : statement.ops) {
     Tuple post = r.pre_image;
     post[column] = value;
-    enforcer.Remove(r.row_id);
+    if (!violation) violation = enforcer.Check(post, r.row_id);
     enforcer.Add(post, r.row_id);
   }
-  // Whole-statement post-image validation on the maintained encoding.
-  // The NFS cannot newly fail (only `column` changed, checked above).
-  if (auto violation = FindViolationEncoded(stored->columns(),
-                                            stored->sigma())) {
+  if (violation) {
     UndoLog::RollbackTable(statement, &enforcer);
     return Status::FailedPrecondition(
         "UPDATE rejected: " + violation->ToString(stored->schema()));

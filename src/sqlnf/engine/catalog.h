@@ -17,15 +17,20 @@
 // the row-major Table appears only at the ingest/decode boundary (CSV,
 // SQL literals, ToString, test oracles) via Materialize()/DecodeRow().
 //
-// ATOMICITY. Writes are atomic per statement: a rejected statement
-// rolls back every slot it touched AND retires the dictionary codes it
-// minted (engine/txn.h), leaving the table bit-identical. Between
-// Begin() and Commit() statements accumulate in an undo log instead of
-// auto-committing, so a logical write that fans out over N normalized
-// component tables commits or aborts as one unit; Rollback() restores
-// every touched table — contents, constraint indexes, dictionaries —
-// to its pre-transaction state. DDL (create / ingest / drop) is barred
-// while a transaction is open.
+// ATOMICITY. Every constraint check runs through the incremental
+// enforcer's Check (engine/enforcer.h), on the rows a statement
+// changes only. An Insert is checked before it touches the table. A
+// rejected Update rolls back every slot it touched AND retires the
+// dictionary codes it minted (engine/txn.h), leaving the table
+// bit-identical. A multi-row SQL INSERT is not atomic yet: the SQL
+// layer issues one Insert per row, so the rows before a rejected (or
+// unparsable) one stay. Between Begin() and Commit() statements
+// accumulate in an undo log instead of auto-committing, so a logical
+// write that fans out over N normalized component tables commits or
+// aborts as one unit; Rollback() restores every touched table —
+// contents, constraint indexes, dictionaries — to its pre-transaction
+// state. DDL (create / ingest / drop) is barred while a transaction is
+// open.
 //
 // SNAPSHOT READS. Each stored table publishes an immutable snapshot of
 // its encoding at commit points. Publishing is lazy copy-on-write: the
@@ -204,8 +209,9 @@ class Database {
 
   /// Bulk-loads a row-major table through the enforcer (the CSV/ingest
   /// boundary); the table name comes from data.schema(). Fails on the
-  /// first rejected row and drops the partially loaded table. Runs as
-  /// one implicit transaction, publishing a single snapshot at the end.
+  /// first rejected row and drops the partially loaded table. The rows
+  /// go in as auto-commit inserts under one lock hold, so readers see
+  /// either no table or the whole load.
   Status IngestTable(const Table& data, ConstraintSet sigma)
       SQLNF_REQUIRES(writer_thread_role);
 
@@ -234,10 +240,12 @@ class Database {
       SQLNF_REQUIRES(writer_thread_role);
 
   /// UPDATE ... SET column = value WHERE predicate tree, executed on
-  /// codes. The whole statement is validated post-image on the
-  /// maintained encoding; on violation every changed slot is rolled
-  /// back and the statement's dictionary codes are retired. Returns
-  /// rows changed.
+  /// codes. Each changed row's post-image goes through the enforcer's
+  /// Check against the unchanged rows and the post-images before it
+  /// (NOT NULL included), so the statement is accepted exactly when
+  /// its whole post-image satisfies Σ. On violation every changed slot
+  /// is rolled back and the statement's dictionary codes are retired;
+  /// the message names the updated row. Returns rows changed.
   Result<int> Update(const std::string& name, const Predicate& where,
                      AttributeId column, const Value& value)
       SQLNF_REQUIRES(writer_thread_role);

@@ -66,12 +66,12 @@ bool IncrementalEnforcer::ShouldIndex(const ConstraintIndex& index,
   return !index.strong || RowTotal(row_id, index.similarity_attrs);
 }
 
-std::optional<Violation> IncrementalEnforcer::Check(const Tuple& row) const {
-  const int candidate_id = encoded_.num_rows();
+std::optional<Violation> IncrementalEnforcer::Check(const Tuple& row,
+                                                   int row_id) const {
   for (AttributeId a : schema_.nfs()) {
     if (row[a].is_null()) {
       Violation v;
-      v.row1 = v.row2 = candidate_id;
+      v.row1 = v.row2 = row_id;
       v.attribute = a;
       return v;
     }
@@ -129,8 +129,7 @@ std::optional<Violation> IncrementalEnforcer::Check(const Tuple& row) const {
         }
       }
       if (index.rhs.empty() || !rhs_equal) {
-        return Violation{other_id, candidate_id, index.constraint,
-                         std::nullopt};
+        return Violation{other_id, row_id, index.constraint, std::nullopt};
       }
     }
   }
@@ -226,15 +225,6 @@ int IncrementalEnforcer::CompactDictionaries() {
   int total = 0;
   for (int r : retired) total += r;
   return total;
-}
-
-void IncrementalEnforcer::Rebuild(const Table& table) {
-  ++rebuilds_;
-  encoded_ = EncodedTable(schema_.num_attributes());
-  for (ConstraintIndex& index : indexes_) index.buckets.clear();
-  for (int i = 0; i < table.num_rows(); ++i) {
-    Add(table.row(i), i);
-  }
 }
 
 Status IncrementalEnforcer::CheckInvariants() const {

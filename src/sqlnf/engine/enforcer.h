@@ -28,6 +28,18 @@
 // scratch; Restore is the DELETE-rollback inverse the transaction undo
 // log (engine/txn.h) replays on abort.
 //
+// Check() is the catalog's only constraint check: INSERT and UPDATE
+// both go through it. UPDATE Remove()s every changed row under its
+// pre-image codes, then checks and re-Add()s the post-images in row
+// order, so each one meets the unchanged rows and the post-images
+// before it: every pair of rows the statement creates is checked once.
+//
+// Cost: a changed row costs the size of the bucket it probes, per
+// constraint. A certain constraint whose LHS has no NOT NULL column
+// keeps a single bucket, so a statement that rewrites most of such a
+// table is quadratic in its row count. INSERT has the same cost
+// profile, and no benchmark workload triggers it.
+//
 // Equivalence with the batch semantics is property-tested against
 // constraints/satisfies.h; the encoding's consistency with a
 // from-scratch re-encode is property-tested in enforcer_test. The
@@ -54,8 +66,7 @@
 namespace sqlnf {
 
 /// Incremental checker for one (schema, Σ) pair. The enforcer does not
-/// own the table; feed it every accepted row via Add() (or Rebuild()
-/// after bulk changes).
+/// own the table; feed it every accepted row via Add().
 ///
 /// Thread discipline: the enforcer is live, mutable state owned by the
 /// catalog's write path — it is never published to snapshot readers.
@@ -66,10 +77,13 @@ class IncrementalEnforcer {
  public:
   IncrementalEnforcer(const TableSchema& schema, const ConstraintSet& sigma);
 
-  /// Violation the candidate row would cause against the rows added so
-  /// far, or nullopt when it is safe. The candidate is named in the
-  /// violation by the current append position (encoding().num_rows()).
-  std::optional<Violation> Check(const Tuple& row) const
+  /// Violation the candidate row would cause against the indexed rows,
+  /// or nullopt when it is safe. NOT NULL is checked first. `row_id`
+  /// is the slot the candidate will occupy: the append position
+  /// (encoding().num_rows()) for an INSERT, the updated row for an
+  /// UPDATE post-image (whose slot must be Remove()d first). A pair
+  /// violation names the indexed partner as row1 and `row_id` as row2.
+  std::optional<Violation> Check(const Tuple& row, int row_id) const
       SQLNF_REQUIRES(writer_thread_role);
 
   /// Registers an accepted row (the table's row index `row_id`).
@@ -115,21 +129,11 @@ class IncrementalEnforcer {
   /// UPDATEs/DELETEs are reclaimed, survivors re-encode canonically
   /// (ascending value order), and the code-keyed constraint indexes
   /// are rebuilt from the new codes. Returns the total number of
-  /// retired dictionary entries. Not a Rebuild(): no row-major Table
-  /// is consulted, no Value re-encodes, and rebuilds() stays put. The
-  /// caller must guarantee no undo log holds pre-compaction codes
-  /// (Database::CompactTable bars it mid-transaction).
+  /// retired dictionary entries. No row-major Table is consulted and no
+  /// Value re-encodes. The caller must guarantee no undo log holds
+  /// pre-compaction codes (Database::CompactTable bars it
+  /// mid-transaction).
   int CompactDictionaries() SQLNF_REQUIRES(writer_thread_role);
-
-  /// Drops all state and re-encodes the table's current rows.
-  /// Last-resort bulk rebuild; the write paths maintain everything
-  /// incrementally via Add/Remove/CompactAfterErase/Restore.
-  void Rebuild(const Table& table) SQLNF_REQUIRES(writer_thread_role);
-
-  /// Number of Rebuild() calls over this enforcer's lifetime — lets
-  /// tests assert the incremental write paths never fall back to a full
-  /// rebuild.
-  int rebuilds() const { return rebuilds_; }
 
   /// The maintained columnar view of the Add()ed rows — the same
   /// representation engine/validate.h and discovery consume, so batch
@@ -195,7 +199,6 @@ class IncrementalEnforcer {
   TableSchema schema_;
   EncodedTable encoded_;
   std::vector<ConstraintIndex> indexes_;
-  int rebuilds_ = 0;
 };
 
 }  // namespace sqlnf

@@ -11,8 +11,8 @@
 // consistency requirement a decomposed schema adds to every logical
 // write ("one fact, N component rows").
 //
-// Undo record semantics (each is the exact inverse of one applied,
-// validated mutation):
+// Undo record semantics (each is the exact inverse of one applied
+// mutation):
 //
 //   kInsert  {row_id}                → Remove + CompactAfterErase: at
 //            undo time every later mutation has already been undone, so
@@ -30,9 +30,11 @@
 // high-water marks on first touch of each table) — so an aborted
 // transaction leaves tables, constraint indexes AND dictionaries
 // bit-identical to their pre-transaction state. The same mark/trim
-// mechanism runs at statement scope inside Database::Update, fixing the
-// historical leak where a rejected UPDATE left its freshly minted
-// dictionary entry behind.
+// mechanism runs at statement scope inside Database::Update: the
+// statement logs its pre-images to a local TableUndo, checks each
+// post-image through the enforcer as it re-adds it, and on a violation
+// replays that local log — so a rejected UPDATE leaves the table, its
+// indexes and its dictionaries bit-identical, minted codes retired.
 //
 // Statement vs transaction scope: a statement that fails validation
 // inside an open transaction rolls back only itself (its records never

@@ -8,7 +8,6 @@
 
 #include "sqlnf/core/similarity.h"
 #include "sqlnf/core/simd_kernels.h"
-#include "sqlnf/discovery/partition.h"
 #include "sqlnf/util/fnv.h"
 #include "sqlnf/util/mutex.h"
 #include "sqlnf/util/parallel.h"
@@ -329,56 +328,6 @@ bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
     if (!ValidateKeyEncoded(enc, key, par)) return false;
   }
   return true;
-}
-
-// ---- stripped-partition path -----------------------------------------
-
-namespace {
-
-// π_X as the product of the single-column partitions (⊥ an ordinary
-// value, so classes are EXACT-equality groups on X).
-StrippedPartition PartitionOn(const EncodedTable& enc,
-                              const AttributeSet& x) {
-  StrippedPartition p = StrippedPartition::Universe(enc.num_rows());
-  for (AttributeId a : x) {
-    p = p.Intersect(StrippedPartition::ForColumn(enc, a), enc.num_rows());
-  }
-  return p;
-}
-
-// e over the classes total on `x`. Class members share their X codes,
-// so the representative decides totality for the whole class; the
-// non-total classes are exactly the ones strong similarity ignores.
-int TotalClassError(const StrippedPartition& p, const EncodedTable& enc,
-                    const AttributeSet& x) {
-  int error = 0;
-  for (const auto& cls : p.classes()) {
-    if (RowTotalOn(enc, cls.front(), x)) {
-      error += static_cast<int>(cls.size()) - 1;
-    }
-  }
-  return error;
-}
-
-}  // namespace
-
-bool ValidateFdPartition(const EncodedTable& enc,
-                         const FunctionalDependency& fd) {
-  assert(fd.is_possible());
-  const StrippedPartition px = PartitionOn(enc, fd.lhs);
-  StrippedPartition pxy = px;
-  for (AttributeId a : fd.rhs.Difference(fd.lhs)) {
-    pxy = pxy.Intersect(StrippedPartition::ForColumn(enc, a),
-                        enc.num_rows());
-  }
-  return TotalClassError(px, enc, fd.lhs) ==
-         TotalClassError(pxy, enc, fd.lhs);
-}
-
-bool ValidateKeyPartition(const EncodedTable& enc,
-                          const KeyConstraint& key) {
-  assert(key.is_possible());
-  return TotalClassError(PartitionOn(enc, key.attrs), enc, key.attrs) == 0;
 }
 
 // ---- legacy tuple-hashing path ---------------------------------------

@@ -14,9 +14,13 @@
 // for wider ones) and all within-bucket predicates are integer
 // compares. The Table entry points encode just the columns a constraint
 // mentions and forward to the EncodedTable kernels; callers that
-// already hold an encoding (the catalog's enforcer, discovery, batch
-// validation) skip the encode entirely. The pre-columnar tuple-hashing
+// already hold an encoding (a table snapshot behind /validate,
+// discovery) skip the encode entirely. The pre-columnar tuple-hashing
 // path is kept as *Tuple for differential testing and bench ablations.
+//
+// This is the BATCH path: it checks a whole instance. The catalog's
+// write path never calls it — INSERT and UPDATE check only the rows
+// they change, through the incremental enforcer (engine/enforcer.h).
 //
 // Property tests cross-check every validator against the reference and
 // a literal Definition-1/2 oracle (tests/reference_oracle.h).
@@ -87,20 +91,6 @@ bool ValidateKeyEncoded(const EncodedTable& enc, const KeyConstraint& key,
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ConstraintSet& sigma,
                         const ParallelOptions& par = {});
-
-// ---- Stripped-partition path (world semantics) -----------------------
-// Possible constraints quantify over some completion of the ⊥ cells;
-// syntactically they trigger on strong similarity, i.e. exact equality
-// of total rows. That makes them expressible over stripped partitions
-// (discovery/partition.h) with ⊥ as an ordinary value, restricted to
-// classes total on the LHS:  X →s Y  ⟺  e(X) = e(XY)  and
-// p⟨X⟩  ⟺  e(X) = 0  over the X-total classes. Requires is_possible().
-
-bool ValidateFdPartition(const EncodedTable& enc,
-                         const FunctionalDependency& fd);
-
-bool ValidateKeyPartition(const EncodedTable& enc,
-                          const KeyConstraint& key);
 
 // ---- Legacy tuple-hashing path ---------------------------------------
 // The pre-columnar implementation (HashOn(Tuple) buckets + Value

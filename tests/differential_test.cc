@@ -7,7 +7,6 @@
 //   * constraints/satisfies.h (the reference checker),
 //   * the legacy tuple-hashing path (FindFdViolationTuple / ...KeyTuple),
 //   * the columnar kernels on a full EncodedTable at threads ∈ {1, 4},
-//   * the stripped-partition path for possible constraints,
 //   * the Table entry points (ValidateFd / ValidateKey / Find*Fast),
 //   * the possible-world enumeration for keys on small tables.
 //
@@ -139,10 +138,6 @@ void CheckFdAllPaths(const Table& table, const EncodedTable& enc,
   auto fast = FindFdViolationFast(table, fd);
   EXPECT_EQ(!fast.has_value(), expect) << what << " [fast]";
   if (fast) ExpectGenuineFdWitness(table, fd, *fast, what + " [fast]");
-
-  if (fd.is_possible()) {
-    EXPECT_EQ(ValidateFdPartition(enc, fd), expect) << what << " [partition]";
-  }
 }
 
 void CheckKeyAllPaths(const Table& table, const EncodedTable& enc,
@@ -170,11 +165,6 @@ void CheckKeyAllPaths(const Table& table, const EncodedTable& enc,
   auto fast = FindKeyViolationFast(table, key);
   EXPECT_EQ(!fast.has_value(), expect) << what << " [fast]";
   if (fast) ExpectGenuineKeyWitness(table, key, *fast, what + " [fast]");
-
-  if (key.is_possible()) {
-    EXPECT_EQ(ValidateKeyPartition(enc, key), expect) << what
-                                                      << " [partition]";
-  }
 }
 
 // All four constraint classes (p-/c-FD, p-/c-key) over random column
@@ -332,10 +322,6 @@ TEST(DifferentialTest, KeyWorldSemanticsOnSmallTables) {
           << "iter=" << iter << " key=" << key.ToString(schema);
       EXPECT_EQ(ValidateKeyEncoded(enc, key), expect)
           << "iter=" << iter << " key=" << key.ToString(schema);
-      if (key.is_possible()) {
-        EXPECT_EQ(ValidateKeyPartition(enc, key), expect)
-            << "iter=" << iter << " key=" << key.ToString(schema);
-      }
     }
   }
   // The sweep must actually exercise the enumeration, not skip it all.

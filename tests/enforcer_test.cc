@@ -25,34 +25,42 @@ TEST(EnforcerTest, BasicConflicts) {
   IncrementalEnforcer enforcer(schema, sigma);
 
   Tuple first({Value::Str("F"), Value::Str("A"), Value::Str("1")});
-  EXPECT_FALSE(enforcer.Check(first).has_value());
+  EXPECT_FALSE(enforcer.Check(first, 0).has_value());
   enforcer.Add(first, 0);
   ASSERT_OK(table.AddRow(first));
 
   // Weak key collision through ⊥.
   Tuple collide({Value::Str("F"), Value::Null(), Value::Str("1")});
-  auto v = enforcer.Check(collide);
+  auto v = enforcer.Check(collide, 1);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->row1, 0);
+  EXPECT_EQ(v->row2, 1);
 
   Tuple fine({Value::Str("G"), Value::Null(), Value::Str("2")});
-  EXPECT_FALSE(enforcer.Check(fine).has_value());
+  EXPECT_FALSE(enforcer.Check(fine, 1).has_value());
 }
 
-TEST(EnforcerTest, RebuildAfterMutation) {
+// The UPDATE write path checks a post-image in the slot it will
+// occupy: once Remove()d, a row's pre-image is no longer anyone's
+// conflict partner, and a violation names the indexed partner first.
+TEST(EnforcerTest, CheckInRemovedSlot) {
   WriterScope writer;
   TableSchema schema = Schema("ab", "ab");
   ConstraintSet sigma = Sigma(schema, "c<a>");
-  Table table(schema);
   IncrementalEnforcer enforcer(schema, sigma);
-  Tuple row({Value::Str("1"), Value::Str("x")});
-  enforcer.Add(row, 0);
-  ASSERT_OK(table.AddRow(row));
-  EXPECT_TRUE(enforcer.Check(row).has_value());
-  // Simulate a delete + rebuild: the conflict disappears.
-  Table empty(schema);
-  enforcer.Rebuild(empty);
-  EXPECT_FALSE(enforcer.Check(row).has_value());
+  enforcer.Add(Tuple({Value::Str("1"), Value::Str("x")}), 0);
+  enforcer.Add(Tuple({Value::Str("2"), Value::Str("y")}), 1);
+  const Tuple same_key({Value::Str("1"), Value::Str("z")});
+  EXPECT_TRUE(enforcer.Check(same_key, 2).has_value());
+
+  enforcer.Remove(0);
+  EXPECT_FALSE(enforcer.Check(same_key, 0).has_value());
+  auto v = enforcer.Check(Tuple({Value::Str("2"), Value::Str("z")}), 0);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->row1, 1);
+  EXPECT_EQ(v->row2, 0);
+  enforcer.Add(same_key, 0);
+  EXPECT_OK(enforcer.CheckInvariants());
 }
 
 class EnforcerPropertyTest : public ::testing::TestWithParam<int> {};
@@ -77,7 +85,7 @@ TEST_P(EnforcerPropertyTest, MatchesReferenceRowValidation) {
                              : Value::Int(rng.Uniform(0, 2)));
       }
       Tuple row(std::move(values));
-      auto fast = enforcer.Check(row);
+      auto fast = enforcer.Check(row, table.num_rows());
       auto reference = ValidateRowAgainst(table, row, sigma);
       EXPECT_EQ(fast.has_value(), reference.has_value())
           << "step " << step << " sigma " << sigma.ToString(schema)
@@ -99,8 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EnforcerPropertyTest,
 // The enforcer's incrementally maintained EncodedTable must stay
 // equivalent (code bijection + equal decoded cells) to a from-scratch
 // re-encode of the stored data across a randomized INSERT / UPDATE /
-// DELETE workload — and the write paths must never fall back to
-// Rebuild().
+// DELETE workload.
 TEST(EnforcerTest, EncodingStaysConsistentAcrossWriteWorkload) {
   WriterScope writer;
   Rng rng(314159);
@@ -139,7 +146,6 @@ TEST(EnforcerTest, EncodingStaysConsistentAcrossWriteWorkload) {
               EncodedTable(stored->Materialize())))
           << "trial=" << trial << " step=" << step << "\n"
           << stored->Materialize().ToString();
-      EXPECT_EQ(stored->enforcer().rebuilds(), 0);
       EXPECT_TRUE(SatisfiesAll(stored->Materialize(), sigma));
     }
     EXPECT_GT(accepted, 0) << "trial=" << trial;

@@ -144,12 +144,6 @@ TEST(FuzzTest, CsvTablesThroughEncodedValidators) {
             << "iter=" << i;
         EXPECT_EQ(ValidateKeyEncoded(enc, key), Satisfies(*table, key))
             << "iter=" << i;
-        if (mode == Mode::kPossible) {
-          EXPECT_EQ(ValidateFdPartition(enc, fd), Satisfies(*table, fd))
-              << "iter=" << i;
-          EXPECT_EQ(ValidateKeyPartition(enc, key), Satisfies(*table, key))
-              << "iter=" << i;
-        }
       }
     }
   }

@@ -256,14 +256,14 @@ TEST(SnapshotTest, StrongConstraintIndexFansOutOnNullableKey) {
   const int kRows = 64;
   for (int i = 0; i < kRows; ++i) {
     const Tuple row({Value::Int(i), Value::Int(i % 7)});
-    ASSERT_FALSE(enforcer.Check(row).has_value()) << i;
+    ASSERT_FALSE(enforcer.Check(row, i).has_value()) << i;
     enforcer.Add(row, i);
   }
   // A few ⊥-bearing rows: never strongly similar to anything, accepted
   // and NOT indexed.
   for (int i = 0; i < 5; ++i) {
     const Tuple row({Value::Null(), Value::Int(0)});
-    ASSERT_FALSE(enforcer.Check(row).has_value());
+    ASSERT_FALSE(enforcer.Check(row, kRows + i).has_value());
     enforcer.Add(row, kRows + i);
   }
   ASSERT_EQ(enforcer.num_indexes(), 1);
@@ -273,8 +273,9 @@ TEST(SnapshotTest, StrongConstraintIndexFansOutOnNullableKey) {
   EXPECT_EQ(stats.largest_bucket, 1);    // no single-bucket degeneracy
   EXPECT_OK(enforcer.CheckInvariants());
   // Duplicates still caught through the fan-out index.
-  EXPECT_TRUE(
-      enforcer.Check(Tuple({Value::Int(3), Value::Int(3)})).has_value());
+  EXPECT_TRUE(enforcer.Check(Tuple({Value::Int(3), Value::Int(3)}),
+                             kRows + 5)
+                  .has_value());
 }
 
 // Satellite: Database::Select gathers the selection vector columnar

@@ -162,6 +162,57 @@ TEST(TxnTest, RejectedUpdateRetiresMintedDictionaryCodes) {
   before.ExpectRestored(*stored);
 }
 
+// UPDATE checks each post-image against the unchanged rows AND the
+// post-images re-added before it. Here the only conflict is between
+// two post-images: each row is fine against the pre-state, so a check
+// of post-images against the old rows alone would accept the
+// statement.
+TEST(TxnTest, UpdateRejectsConflictBetweenItsOwnPostImages) {
+  WriterScope writer;
+  Database db;
+  TableSchema schema = Schema("ab", "ab");
+  ASSERT_OK(db.CreateTable(schema, Sigma(schema, "c<a>")));
+  ASSERT_OK(db.Insert("T", Row({"1", "x"})));
+  ASSERT_OK(db.Insert("T", Row({"2", "y"})));
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
+  const TableState before(*stored);
+
+  const Result<int> rejected =
+      db.Update("T", Predicate::True(), 0, Value::Str("3"));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "UPDATE rejected: rows 0 and 1 violate c<{a}>");
+  before.ExpectRestored(*stored);
+}
+
+// The same post-image-vs-post-image conflict under a possible FD, on
+// a schema without NOT NULL columns: strong similarity needs both
+// post-images total on the LHS, which the fresh value makes them.
+TEST(TxnTest, UpdateRejectsPossibleFdConflictBetweenItsOwnPostImages) {
+  WriterScope writer;
+  Database db;
+  TableSchema schema = Schema("ab");
+  ASSERT_OK(db.CreateTable(schema, Sigma(schema, "a ->s b")));
+  ASSERT_OK(db.Insert("T", Row({"1", "x"})));
+  ASSERT_OK(db.Insert("T", Row({nullptr, "y"})));
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
+  const TableState before(*stored);
+
+  const Result<int> rejected =
+      db.Update("T", Predicate::True(), 0, Value::Str("3"));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "UPDATE rejected: rows 0 and 1 violate {a} ->s {b}");
+  before.ExpectRestored(*stored);
+
+  // A ⊥ LHS is never strongly similar, so setting a to ⊥ everywhere
+  // is accepted (only row 0 changes).
+  ASSERT_OK_AND_ASSIGN(
+      const int changed, db.Update("T", Predicate::True(), 0, Value::Null()));
+  EXPECT_EQ(changed, 1);
+  EXPECT_OK(stored->enforcer().CheckInvariants());
+}
+
 TEST(TxnTest, RejectedStatementInsideTransactionRollsBackOnlyItself) {
   WriterScope writer;
   Database db;
@@ -301,9 +352,10 @@ struct Reference {
     return true;
   }
 
-  // Mirrors Database::Update semantics: matched on marker equality,
-  // changed where the cell differs, NFS check, whole-statement
-  // post-image validation.
+  // The specification Database::Update must meet: matched on marker
+  // equality, changed where the cell differs, accepted iff the whole
+  // post-image instance satisfies the NFS and Σ. The engine decides
+  // the same thing one changed row at a time.
   bool ApplyUpdate(const Predicate& where, AttributeId col,
                    const Value& value) {
     std::vector<int> changed;
