@@ -162,9 +162,6 @@ int RunSimdE19() {
   for (uint32_t i = 0; i < kD; ++i) in_table[i] = rng.Chance(0.5) ? 1 : 0;
   std::vector<uint8_t> src_bytes(kN);
   for (uint8_t& b : src_bytes) b = rng.Chance(0.5) ? 1 : 0;
-  std::vector<int> gather_rows(kN);
-  for (int i = 0; i < kN; ++i) gather_rows[i] = i;
-  rng.Shuffle(&gather_rows);
 
   const uint32_t want = kD / 3;
   const uint32_t lo = kD / 4;
@@ -175,7 +172,7 @@ int RunSimdE19() {
   // as the differential oracle for the wider levels.
   std::vector<uint8_t> match(kN);
   std::vector<uint64_t> hashes(kN);
-  std::vector<uint32_t> folded(kN), gathered(kN);
+  std::vector<uint32_t> folded(kN);
   std::vector<int> sel(kN);
   volatile long long sink = 0;
   (void)sink;
@@ -231,11 +228,6 @@ int RunSimdE19() {
        [&](simd::Level l) {
          simd::FoldMask(l, hashes.data(), kN, (1u << 16) - 1, folded.data());
        }},
-      {"gather_codes",
-       [&](simd::Level l) {
-         simd::GatherCodes(l, codes.data(), gather_rows.data(), kN,
-                           gathered.data());
-       }},
   };
 
   const std::vector<simd::Level> levels = AvailableLevels();
@@ -251,12 +243,11 @@ int RunSimdE19() {
     const auto m0 = match;
     const auto h0 = hashes;
     const auto f0 = folded;
-    const auto g0 = gathered;
     const auto s0 = sel;
     for (size_t li = 1; li < levels.size(); ++li) {
       k.body(levels[li]);
       const bool same = match == m0 && hashes == h0 && folded == f0 &&
-                        gathered == g0 && sel == s0;
+                        sel == s0;
       if (!same) {
         std::printf("E19 IDENTITY FAILURE: %s at level %s\n", k.name,
                     simd::LevelName(levels[li]));

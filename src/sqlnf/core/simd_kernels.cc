@@ -254,18 +254,11 @@ SQLNF_SIMD_SCALAR_FN void FoldMaskScalar(const uint64_t* h, int n,
   }
 }
 
-SQLNF_SIMD_SCALAR_FN void GatherCodesScalar(const uint32_t* codes,
-                                            const int* rows, int n,
-                                            uint32_t* out) {
-  SQLNF_SIMD_NO_AUTOVEC
-  for (int i = 0; i < n; ++i) out[i] = codes[rows[i]];
-}
-
 // ---------------------------------------------------------------------------
 // SSE2 kernels (x86-64 baseline — no target attribute needed). Eight
 // lanes per iteration via two 128-bit vectors, so the mask-expansion
 // write stays a single 8-byte word. Gather-shaped kernels
-// (RankInterval / ByteTable / GatherCodes) and the permute-based
+// (RankInterval / ByteTable) and the permute-based
 // compress-store have no SSE2 story worth having — they fall through
 // to the scalar reference in the dispatchers.
 // ---------------------------------------------------------------------------
@@ -788,14 +781,6 @@ void FoldMask(Level level, const uint64_t* h, int n, uint64_t mask,
 #endif
   (void)l;
   FoldMaskScalar(h, n, mask, out);
-}
-
-void GatherCodes(Level level, const uint32_t* codes, const int* rows, int n,
-                 uint32_t* out) {
-  // No vector variant: random-access loads bound it, and the AVX2
-  // i32gather beat this loop by under 1.3× in E19.
-  (void)level;
-  GatherCodesScalar(codes, rows, n, out);
 }
 
 }  // namespace simd

@@ -1,11 +1,10 @@
 // Explicit SIMD kernels over uint32 code arrays and uint8 match bytes —
-// the vector layer under the engine's four hottest loops:
+// the vector layer under the engine's three hottest loops:
 //
 //   * CompiledPredicate::ApplyAtom   EqCode / NeCode / CodeInterval /
 //                                    RankInterval / ByteTable / OrBytes
 //   * ParallelEmit count/fill        CountBytes / CompressStore
 //   * CodeHashIndex build & probe    FnvMixCodes / FoldMask
-//   * validator radix bucketing      GatherCodes
 //
 // Each kernel ships in up to three compile-time ISA variants — a scalar
 // reference (auto-vectorization disabled: it is the differential
@@ -132,11 +131,6 @@ void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h);
 /// Requires mask < 2^32 (bucket counts are int-sized).
 void FoldMask(Level level, const uint64_t* h, int n, uint64_t mask,
               uint32_t* out);
-
-/// out[i] = codes[rows[i]]: the row-list gather of radix bucketing.
-/// Scalar at every level: the AVX2 gather did not beat it by 1.3×.
-void GatherCodes(Level level, const uint32_t* codes, const int* rows,
-                 int n, uint32_t* out);
 
 }  // namespace simd
 }  // namespace sqlnf

@@ -53,7 +53,9 @@ namespace sqlnf {
 struct ConstraintCheck {
   std::string text;  // fd/key rendered against the table schema
   bool violated = false;
-  int row1 = -1, row2 = -1;  // witness pair when violated
+  // When violated: the lexicographically smallest violating row pair,
+  // the same at every thread count (engine/validate.h's witness rule).
+  int row1 = -1, row2 = -1;
 };
 
 /// Outcome of validating a constraint set against one table.

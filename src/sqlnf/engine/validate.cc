@@ -1,15 +1,13 @@
 #include "sqlnf/engine/validate.h"
 
-#include <atomic>
 #include <cassert>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "sqlnf/core/code_hash_index.h"
 #include "sqlnf/core/similarity.h"
-#include "sqlnf/core/simd_kernels.h"
 #include "sqlnf/util/fnv.h"
-#include "sqlnf/util/mutex.h"
 #include "sqlnf/util/parallel.h"
 
 namespace sqlnf {
@@ -20,135 +18,7 @@ namespace {
 // caller asks for threads: the pool + merge overhead dwarfs the scan.
 constexpr int kParallelRowThreshold = 2048;
 
-// True when parallelism is requested and the table is big enough to
-// amortize a pool.
-bool WantPool(int num_rows, const ParallelOptions& par) {
-  return par.threads > 1 && num_rows >= kParallelRowThreshold;
-}
-
-std::vector<int> AllRows(int n) {
-  std::vector<int> rows(n);
-  for (int i = 0; i < n; ++i) rows[i] = i;
-  return rows;
-}
-
-using BucketList = std::vector<std::vector<int>>;
-using BucketMap = std::unordered_map<uint64_t, std::vector<int>>;
-
-// A contiguous view of one bucket's row ids.
-struct Span {
-  const int* data = nullptr;
-  size_t size = 0;
-};
-
-// Bucketed rows behind a uniform scan surface: `spans` is what
-// ScanBuckets walks; `owned` (hash path) or `csr` (radix path) holds
-// the storage the spans point into. Radix buckets live side by side in
-// one flat array instead of one heap vector per dictionary entry.
-struct Buckets {
-  std::vector<Span> spans;
-  BucketList owned;
-  std::vector<int> csr;
-};
-
-Buckets FromBucketList(BucketList list) {
-  Buckets out;
-  out.owned = std::move(list);
-  out.spans.reserve(out.owned.size());
-  for (const std::vector<int>& b : out.owned) {
-    out.spans.push_back({b.data(), b.size()});
-  }
-  return out;
-}
-
-// Buckets row ids by an integer key. With a pool, each thread buckets a
-// contiguous slice of `rows`, and the slices merge in slice order —
-// bucket contents come out in ascending row order either way.
-template <typename KeyFn>
-BucketList HashBuckets(const std::vector<int>& rows, KeyFn&& key,
-                       ThreadPool* pool) {
-  BucketMap map;
-  if (pool == nullptr) {
-    map.reserve(rows.size());
-    for (int i : rows) map[key(i)].push_back(i);
-  } else {
-    map = ParallelReduce<BucketMap>(
-        *pool, 0, static_cast<int64_t>(rows.size()), BucketMap{},
-        [&](int64_t b, int64_t e) {
-          BucketMap local;
-          local.reserve(e - b);
-          for (int64_t k = b; k < e; ++k) {
-            local[key(rows[k])].push_back(rows[k]);
-          }
-          return local;
-        },
-        [](BucketMap acc, BucketMap part) {
-          if (acc.empty()) return part;
-          for (auto& [hash, ids] : part) {
-            auto& dst = acc[hash];
-            dst.insert(dst.end(), ids.begin(), ids.end());
-          }
-          return acc;
-        });
-  }
-  BucketList out;
-  out.reserve(map.size());
-  for (auto& [hash, ids] : map) out.push_back(std::move(ids));
-  return out;
-}
-
-// Scans every bucket for a pair with bad(i, j), short-circuiting on the
-// first one. With a pool, buckets are claimed dynamically (one task per
-// multi-row bucket) and a found-flag stops the remaining scans early;
-// any violating pair is a correct witness, so the parallel pick may
-// differ from the serial one.
-template <typename BadFn>
-std::optional<Violation> ScanBuckets(const Buckets& buckets, BadFn&& bad,
-                                     ThreadPool* pool) {
-  auto scan_one = [&](const Span& bucket) -> std::optional<Violation> {
-    for (size_t i = 0; i < bucket.size; ++i) {
-      for (size_t j = i + 1; j < bucket.size; ++j) {
-        if (bad(bucket.data[i], bucket.data[j])) {
-          return Violation{bucket.data[i], bucket.data[j], std::nullopt,
-                           std::nullopt};
-        }
-      }
-    }
-    return std::nullopt;
-  };
-  if (pool == nullptr) {
-    for (const Span& bucket : buckets.spans) {
-      if (auto violation = scan_one(bucket)) return violation;
-    }
-    return std::nullopt;
-  }
-  std::vector<const Span*> work;
-  work.reserve(buckets.spans.size());
-  for (const Span& bucket : buckets.spans) {
-    if (bucket.size > 1) work.push_back(&bucket);
-  }
-  std::atomic<bool> found{false};
-  Mutex mu;
-  std::optional<Violation> result;
-  pool->RunTasks(static_cast<int>(work.size()), [&](int k) {
-    if (found.load(std::memory_order_relaxed)) return;
-    if (auto violation = scan_one(*work[k])) {
-      MutexLock lock(mu);
-      if (!result) result = violation;
-      found.store(true, std::memory_order_relaxed);
-    }
-  });
-  return result;
-}
-
-// ---- code kernels ----------------------------------------------------
-
-uint64_t HashCodesOn(const EncodedTable& enc, int row,
-                     const AttributeSet& attrs) {
-  uint64_t h = kFnv64OffsetBasis;
-  for (AttributeId a : attrs) h = FnvMix(h, enc.code(a, row));
-  return h;
-}
+// ---- code kernel -----------------------------------------------------
 
 bool CodesEqualOn(const EncodedTable& enc, int r1, int r2,
                   const AttributeSet& attrs) {
@@ -174,53 +44,62 @@ bool RowTotalOn(const EncodedTable& enc, int row,
   return true;
 }
 
-// Buckets `rows` by their codes on `group`. Rows must be total on
-// `group` (both call sites guarantee it). Single-column groups
-// radix-bucket directly on the dense code value — no hashing and no
-// collisions; wider groups hash-mix the codes, and *exact is cleared so
-// the scan re-confirms group equality per pair.
+// The one batch kernel behind FindFdViolationEncoded and
+// FindKeyViolationEncoded: the lexicographically smallest row pair
+// (i, j), i < j, similar on `lhs` (strongly when `possible`, else
+// weakly) and, for an FD (`rhs` non-null), differing on *rhs.
 //
-// The radix path is a CSR count → prefix → scatter build: row codes
-// are gathered through simd::GatherCodes, histogrammed per code, and
-// scattered into one flat row array — bucket contents stay in
-// ascending row order (stable scatter over an ascending row list),
-// matching the hash path's ordering guarantee.
-Buckets BucketByCodes(const EncodedTable& enc, const AttributeSet& group,
-                      const std::vector<int>& rows, ThreadPool* pool,
-                      bool* exact) {
-  *exact = true;
-  if (group.empty()) {
-    Buckets out;
-    out.csr = rows;
-    if (!out.csr.empty()) out.spans.push_back({out.csr.data(), out.csr.size()});
-    return out;
+// Similar rows agree exactly on `exact` — the whole LHS under strong
+// similarity, its null-free columns under weak similarity — so every
+// partner of row i lies in i's CodeHashIndex bucket on those columns.
+// A row i whose LHS codes (⊥ counted as a code) repeat an earlier row k
+// of its bucket starts no walk: k is similar to i and to every row i is
+// similar to, so a violation (i, j) implies the smaller (k, j) or
+// (k, i), and the smallest pair starts at a row that walks.
+std::optional<Violation> FindViolatingPair(const EncodedTable& enc,
+                                           const AttributeSet& lhs,
+                                           bool possible,
+                                           const AttributeSet* rhs,
+                                           const ParallelOptions& par) {
+  const AttributeSet exact =
+      possible ? lhs : lhs.Intersect(enc.NullFreeColumns());
+  const AttributeSet rest = lhs.Difference(exact);
+  std::vector<const std::vector<uint32_t>*> keys;
+  for (AttributeId a : exact) keys.push_back(&enc.column(a));
+  const int n = enc.num_rows();
+  std::optional<ThreadPool> pool;
+  if (par.threads > 1 && n >= kParallelRowThreshold) {
+    pool.emplace(par.threads);
   }
-  if (group.size() == 1) {
-    const AttributeId a = *group.begin();
-    // Rows are total on `a`, so every gathered code is a dense
-    // dictionary code < d — the histogram needs no sentinel slot.
-    const size_t d = static_cast<size_t>(enc.dictionary_size(a));
-    const int n = static_cast<int>(rows.size());
-    std::vector<uint32_t> codes(rows.size());
-    simd::GatherCodes(simd::ActiveLevel(), enc.column(a).data(), rows.data(),
-                      n, codes.data());
-    std::vector<uint32_t> starts(d + 1, 0);
-    for (int k = 0; k < n; ++k) ++starts[codes[k] + 1];
-    for (size_t c = 1; c <= d; ++c) starts[c] += starts[c - 1];
-    Buckets out;
-    out.csr.resize(rows.size());
-    std::vector<uint32_t> cursor(starts.begin(), starts.end() - 1);
-    for (int k = 0; k < n; ++k) out.csr[cursor[codes[k]]++] = rows[k];
-    out.spans.reserve(d);
-    for (size_t c = 0; c < d; ++c) {
-      const size_t len = starts[c + 1] - starts[c];
-      if (len > 0) out.spans.push_back({out.csr.data() + starts[c], len});
+  const CodeHashIndex index(keys, n, pool ? &*pool : nullptr);
+
+  // Rows [begin, end) ascending; the first row with a violating
+  // partner reports its first (buckets list rows ascending).
+  auto scan = [&](int64_t begin, int64_t end) -> std::optional<Violation> {
+    for (int i = static_cast<int>(begin); i < end; ++i) {
+      if (possible && !RowTotalOn(enc, i, lhs)) continue;
+      const CodeHashIndex::Range bucket = index.Bucket(index.row_hash(i));
+      const int* at = bucket.begin;
+      while (*at != i && !CodesEqualOn(enc, *at, i, lhs)) ++at;
+      if (*at != i) continue;
+      for (const int* p = at + 1; p != bucket.end; ++p) {
+        if (CodesEqualOn(enc, i, *p, exact) &&
+            CodesWeaklySimilarOn(enc, i, *p, rest) &&
+            (rhs == nullptr || !CodesEqualOn(enc, i, *p, *rhs))) {
+          return Violation{i, *p, std::nullopt, std::nullopt};
+        }
+      }
     }
-    return out;
-  }
-  *exact = false;
-  return FromBucketList(HashBuckets(
-      rows, [&](int i) { return HashCodesOn(enc, i, group); }, pool));
+    return std::nullopt;
+  };
+  if (!pool) return scan(0, n);
+  // Chunks cover ascending row ranges and fold left to right, so the
+  // first chunk that found a pair holds the smallest one.
+  return ParallelReduce(
+      *pool, 0, n, std::optional<Violation>(), scan,
+      [](std::optional<Violation> acc, std::optional<Violation> part) {
+        return acc ? acc : part;
+      });
 }
 
 }  // namespace
@@ -229,40 +108,8 @@ std::optional<Violation> FindFdViolationEncoded(
     const EncodedTable& enc, const FunctionalDependency& fd,
     const ParallelOptions& par) {
   assert(fd.lhs.Union(fd.rhs).IsSubsetOf(enc.encoded_columns()));
-  std::optional<ThreadPool> pool;
-  if (WantPool(enc.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  bool exact = false;
-  if (fd.is_possible()) {
-    // Only rows total on the LHS participate; strong similarity within
-    // a full-LHS bucket is automatic.
-    std::vector<int> rows;
-    for (int i = 0; i < enc.num_rows(); ++i) {
-      if (RowTotalOn(enc, i, fd.lhs)) rows.push_back(i);
-    }
-    Buckets buckets = BucketByCodes(enc, fd.lhs, rows, p, &exact);
-    violation = ScanBuckets(
-        buckets,
-        [&](int i, int j) {
-          return (exact || CodesEqualOn(enc, i, j, fd.lhs)) &&
-                 !CodesEqualOn(enc, i, j, fd.rhs);
-        },
-        p);
-  } else {
-    const AttributeSet group = fd.lhs.Intersect(enc.NullFreeColumns());
-    const AttributeSet rest = fd.lhs.Difference(group);
-    Buckets buckets =
-        BucketByCodes(enc, group, AllRows(enc.num_rows()), p, &exact);
-    violation = ScanBuckets(
-        buckets,
-        [&](int i, int j) {
-          return (exact || CodesEqualOn(enc, i, j, group)) &&
-                 CodesWeaklySimilarOn(enc, i, j, rest) &&
-                 !CodesEqualOn(enc, i, j, fd.rhs);
-        },
-        p);
-  }
+  std::optional<Violation> violation =
+      FindViolatingPair(enc, fd.lhs, fd.is_possible(), &fd.rhs, par);
   if (violation) violation->constraint = Constraint(fd);
   return violation;
 }
@@ -271,36 +118,8 @@ std::optional<Violation> FindKeyViolationEncoded(const EncodedTable& enc,
                                                  const KeyConstraint& key,
                                                  const ParallelOptions& par) {
   assert(key.attrs.IsSubsetOf(enc.encoded_columns()));
-  std::optional<ThreadPool> pool;
-  if (WantPool(enc.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  bool exact = false;
-  if (key.is_possible()) {
-    std::vector<int> rows;
-    for (int i = 0; i < enc.num_rows(); ++i) {
-      if (RowTotalOn(enc, i, key.attrs)) rows.push_back(i);
-    }
-    Buckets buckets = BucketByCodes(enc, key.attrs, rows, p, &exact);
-    violation = ScanBuckets(
-        buckets,
-        [&](int i, int j) {
-          return exact || CodesEqualOn(enc, i, j, key.attrs);
-        },
-        p);
-  } else {
-    const AttributeSet group = key.attrs.Intersect(enc.NullFreeColumns());
-    const AttributeSet rest = key.attrs.Difference(group);
-    Buckets buckets =
-        BucketByCodes(enc, group, AllRows(enc.num_rows()), p, &exact);
-    violation = ScanBuckets(
-        buckets,
-        [&](int i, int j) {
-          return (exact || CodesEqualOn(enc, i, j, group)) &&
-                 CodesWeaklySimilarOn(enc, i, j, rest);
-        },
-        p);
-  }
+  std::optional<Violation> violation =
+      FindViolatingPair(enc, key.attrs, key.is_possible(), nullptr, par);
   if (violation) violation->constraint = Constraint(key);
   return violation;
 }
@@ -340,83 +159,51 @@ size_t HashOn(const Tuple& t, const AttributeSet& x) {
   return h;
 }
 
-Buckets BucketRows(const Table& table, const AttributeSet& group_by,
-                   const std::vector<int>& rows, ThreadPool* pool) {
-  return FromBucketList(HashBuckets(
-      rows, [&](int i) { return HashOn(table.row(i), group_by); }, pool));
+// FindViolatingPair's pre-columnar counterpart: rows hashed on the
+// exact LHS part into an unordered_map, then every pair in a bucket
+// compared, buckets in the map's iteration order.
+std::optional<Violation> FindViolatingPairTuple(const Table& table,
+                                                const AttributeSet& lhs,
+                                                bool possible,
+                                                const AttributeSet* rhs) {
+  const AttributeSet group =
+      possible ? lhs : lhs.Intersect(table.NullFreeColumns());
+  const AttributeSet rest = lhs.Difference(group);
+  std::unordered_map<uint64_t, std::vector<int>> buckets;
+  for (int i = 0; i < table.num_rows(); ++i) {
+    if (possible && !table.row(i).IsTotal(lhs)) continue;
+    buckets[HashOn(table.row(i), group)].push_back(i);
+  }
+  for (const auto& [hash, rows] : buckets) {
+    for (size_t a = 0; a < rows.size(); ++a) {
+      const Tuple& t = table.row(rows[a]);
+      for (size_t b = a + 1; b < rows.size(); ++b) {
+        const Tuple& u = table.row(rows[b]);
+        // Hash collisions: confirm the grouped columns really match.
+        if (t.EqualOn(u, group) && WeaklySimilar(t, u, rest) &&
+            (rhs == nullptr || !t.EqualOn(u, *rhs))) {
+          return Violation{rows[a], rows[b], std::nullopt, std::nullopt};
+        }
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
-std::optional<Violation> FindFdViolationTuple(const Table& table,
-                                              const FunctionalDependency& fd,
-                                              const ParallelOptions& par) {
-  std::optional<ThreadPool> pool;
-  if (WantPool(table.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  if (fd.is_possible()) {
-    std::vector<int> rows;
-    for (int i = 0; i < table.num_rows(); ++i) {
-      if (table.row(i).IsTotal(fd.lhs)) rows.push_back(i);
-    }
-    violation = ScanBuckets(
-        BucketRows(table, fd.lhs, rows, p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          // Hash collisions: confirm the grouped columns really match.
-          return t.EqualOn(u, fd.lhs) && StronglySimilar(t, u, fd.lhs) &&
-                 !t.EqualOn(u, fd.rhs);
-        },
-        p);
-  } else {
-    const AttributeSet group = fd.lhs.Intersect(table.NullFreeColumns());
-    const AttributeSet rest = fd.lhs.Difference(group);
-    violation = ScanBuckets(
-        BucketRows(table, group, AllRows(table.num_rows()), p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          return t.EqualOn(u, group) && WeaklySimilar(t, u, rest) &&
-                 !t.EqualOn(u, fd.rhs);
-        },
-        p);
-  }
+std::optional<Violation> FindFdViolationTuple(
+    const Table& table, const FunctionalDependency& fd) {
+  std::optional<Violation> violation =
+      FindViolatingPairTuple(table, fd.lhs, fd.is_possible(), &fd.rhs);
   if (violation) violation->constraint = Constraint(fd);
   return violation;
 }
 
 std::optional<Violation> FindKeyViolationTuple(const Table& table,
-                                               const KeyConstraint& key,
-                                               const ParallelOptions& par) {
-  std::optional<ThreadPool> pool;
-  if (WantPool(table.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  if (key.is_possible()) {
-    std::vector<int> rows;
-    for (int i = 0; i < table.num_rows(); ++i) {
-      if (table.row(i).IsTotal(key.attrs)) rows.push_back(i);
-    }
-    violation = ScanBuckets(
-        BucketRows(table, key.attrs, rows, p),
-        [&](int i, int j) {
-          return table.row(i).EqualOn(table.row(j), key.attrs);
-        },
-        p);
-  } else {
-    const AttributeSet group = key.attrs.Intersect(table.NullFreeColumns());
-    const AttributeSet rest = key.attrs.Difference(group);
-    violation = ScanBuckets(
-        BucketRows(table, group, AllRows(table.num_rows()), p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          return t.EqualOn(u, group) && WeaklySimilar(t, u, rest);
-        },
-        p);
-  }
+                                               const KeyConstraint& key) {
+  std::optional<Violation> violation =
+      FindViolatingPairTuple(table, key.attrs, key.is_possible(), nullptr);
   if (violation) violation->constraint = Constraint(key);
   return violation;
 }

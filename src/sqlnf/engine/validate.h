@@ -1,22 +1,34 @@
 // Scalable constraint validation (the Section 7 consistency check).
 //
 // The reference checkers in constraints/satisfies.h are O(n²) over all
-// row pairs. For large instances we exploit that weakly similar tuples
-// must agree EXACTLY on every LHS column that contains no ⊥ anywhere in
-// the instance: partition rows on those columns, then compare pairs
-// only within partitions. For possible (strong) semantics, only rows
-// total on the LHS can participate, and strong similarity within the
-// partition is plain equality — no pair loop at all.
+// row pairs. For large instances we exploit that similar tuples must
+// agree EXACTLY on part of the LHS: on all of it under strong
+// similarity (possible constraints; rows with ⊥ on the LHS take no
+// part), on the columns that contain no ⊥ anywhere in the instance
+// under weak similarity (certain constraints). One kernel serves all
+// four classes (FD/key × possible/certain): it groups rows by a
+// CodeHashIndex on those exact columns (core/code_hash_index.h, the
+// grouping structure behind the join and DistinctRows) and compares
+// rows only within a bucket, all on dictionary CODES
+// (core/encoded_table.h), so every predicate is an integer compare.
+// The Table entry points encode just the columns a constraint mentions
+// and forward to the EncodedTable kernels; callers that already hold an
+// encoding (a table snapshot behind /validate, discovery) skip the
+// encode entirely. The pre-columnar tuple-hashing path is kept as
+// *Tuple for differential testing and bench ablations.
 //
-// Since PR 2 the kernels run on the shared columnar representation
-// (core/encoded_table.h): rows are bucketed by their dictionary CODES
-// (radix on the code value for single-column groups, FNV-mixed hashing
-// for wider ones) and all within-bucket predicates are integer
-// compares. The Table entry points encode just the columns a constraint
-// mentions and forward to the EncodedTable kernels; callers that
-// already hold an encoding (a table snapshot behind /validate,
-// discovery) skip the encode entirely. The pre-columnar tuple-hashing
-// path is kept as *Tuple for differential testing and bench ablations.
+// Witness rule: a violated constraint reports its lexicographically
+// smallest violating pair (row1 < row2) — the pair
+// constraints/satisfies.h reports — at every thread count.
+//
+// Cost: code equality is transitive, so a row whose LHS codes (⊥
+// counted as a code) repeat an earlier row of its bucket starts no
+// walk; every other row walks its bucket once. Possible constraints,
+// and certain ones whose LHS holds no ⊥, group on the whole LHS: a
+// bucket then holds one code vector (barring hash collisions) and the
+// check is O(n). ⊥ in the LHS of a certain constraint makes weak
+// similarity intransitive: a bucket holding d distinct LHS code
+// vectors among b rows costs O(d·b).
 //
 // This is the BATCH path: it checks a whole instance. The catalog's
 // write path never calls it — INSERT and UPDATE check only the rows
@@ -25,11 +37,10 @@
 // Property tests cross-check every validator against the reference and
 // a literal Definition-1/2 oracle (tests/reference_oracle.h).
 //
-// Every entry point takes an optional ParallelOptions: with threads > 1
-// the buckets are scanned by a thread pool with first-violation
-// short-circuit. Satisfaction verdicts are identical to serial; when a
-// constraint is violated, WHICH violating pair is reported may differ
-// (any violating pair is a correct witness).
+// Every entry point except *Tuple takes an optional ParallelOptions:
+// with threads > 1 on a table of at least 2,048 rows, the index builds
+// chunk-parallel and row chunks scan concurrently, folding left to
+// right, so verdict and witness are identical to serial.
 
 #ifndef SQLNF_ENGINE_VALIDATE_H_
 #define SQLNF_ENGINE_VALIDATE_H_
@@ -57,12 +68,12 @@ bool ValidateKey(const Table& table, const KeyConstraint& key,
 bool ValidateAll(const Table& table, const ConstraintSet& sigma,
                  const ParallelOptions& par = {});
 
-/// Like ValidateFd but returns the first violating row pair.
+/// Like ValidateFd but returns the smallest violating row pair.
 std::optional<Violation> FindFdViolationFast(
     const Table& table, const FunctionalDependency& fd,
     const ParallelOptions& par = {});
 
-/// Like ValidateKey but returns the first violating row pair.
+/// Like ValidateKey but returns the smallest violating row pair.
 std::optional<Violation> FindKeyViolationFast(
     const Table& table, const KeyConstraint& key,
     const ParallelOptions& par = {});
@@ -93,17 +104,17 @@ bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ParallelOptions& par = {});
 
 // ---- Legacy tuple-hashing path ---------------------------------------
-// The pre-columnar implementation (HashOn(Tuple) buckets + Value
-// compares). Verdict-equivalent to the encoded kernels; kept as the
-// differential-testing baseline and for the encoded-vs-tuple bench.
+// The pre-columnar implementation (HashOn(Tuple) buckets in an
+// unordered_map, every pair in a bucket compared on Values; serial).
+// Verdict-equivalent to the encoded kernels, but its witness follows
+// the map's iteration order. Kept as the differential-testing baseline
+// and for the encoded-vs-tuple bench (E5).
 
-std::optional<Violation> FindFdViolationTuple(
-    const Table& table, const FunctionalDependency& fd,
-    const ParallelOptions& par = {});
+std::optional<Violation> FindFdViolationTuple(const Table& table,
+                                              const FunctionalDependency& fd);
 
-std::optional<Violation> FindKeyViolationTuple(
-    const Table& table, const KeyConstraint& key,
-    const ParallelOptions& par = {});
+std::optional<Violation> FindKeyViolationTuple(const Table& table,
+                                               const KeyConstraint& key);
 
 }  // namespace sqlnf
 

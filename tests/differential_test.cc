@@ -6,14 +6,20 @@
 //   * the oracle (all-pairs, similarity inlined),
 //   * constraints/satisfies.h (the reference checker),
 //   * the legacy tuple-hashing path (FindFdViolationTuple / ...KeyTuple),
-//   * the columnar kernels on a full EncodedTable at threads ∈ {1, 4},
+//   * the columnar kernels on a full EncodedTable at threads
+//     ∈ {1, 2, 3, 8},
 //   * the Table entry points (ValidateFd / ValidateKey / Find*Fast),
 //   * the possible-world enumeration for keys on small tables.
 //
-// Verdicts must be identical everywhere. Witnesses may differ between
-// paths (any violating pair is correct), so when a path reports a
-// violation we re-check the reported pair against the oracle's
-// similarity predicates instead of comparing pair indices.
+// Verdicts must be identical everywhere. Witnesses are compared pair
+// for pair: the encoded kernels and the Table entry points must return
+// the reference checker's witness, the lexicographically smallest
+// violating pair (engine/validate.h's witness rule), at every thread
+// count. The reference witness and the tuple path's (which follows its
+// hash map's iteration order) are re-checked against the oracle's
+// similarity predicates. The random tables of the first sweeps stay
+// under the validators' 2,048-row threading threshold, so a separate
+// sweep of larger tables reaches the threaded scan.
 //
 // SQLNF_DIFF_ITERS (integer ≥ 1, default 1) multiplies every sweep —
 // the nightly CI job runs the suite with a larger multiplier.
@@ -21,6 +27,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,32 +119,72 @@ void ExpectGenuineKeyWitness(const Table& table, const KeyConstraint& key,
       << ") is not a violation of " << key.ToString(table.schema());
 }
 
+// A path's witness must be the reference checker's pair exactly.
+void ExpectReferenceWitness(const std::optional<Violation>& reference,
+                            const std::optional<Violation>& got,
+                            const std::string& context) {
+  ASSERT_EQ(got.has_value(), reference.has_value()) << context;
+  if (!reference) return;
+  EXPECT_EQ(std::make_pair(got->row1, got->row2),
+            std::make_pair(reference->row1, reference->row2))
+      << context << ": witness differs from satisfies.h's";
+}
+
+// The encoded kernels and Find*Fast against the reference witness, at
+// every thread count of the sweep (tables under 2,048 rows run
+// serially whatever the count).
+void CheckFdWitnesses(const Table& table, const EncodedTable& enc,
+                      const FunctionalDependency& fd,
+                      const std::optional<Violation>& reference,
+                      const std::string& what) {
+  for (int threads : {1, 2, 3, 8}) {
+    const ParallelOptions par{threads};
+    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
+                            "]";
+    ExpectReferenceWitness(reference, FindFdViolationEncoded(enc, fd, par),
+                           tag);
+    EXPECT_EQ(ValidateFdEncoded(enc, fd, par), !reference.has_value())
+        << tag;
+  }
+  ExpectReferenceWitness(reference, FindFdViolationFast(table, fd),
+                         what + " [fast]");
+}
+
+void CheckKeyWitnesses(const Table& table, const EncodedTable& enc,
+                       const KeyConstraint& key,
+                       const std::optional<Violation>& reference,
+                       const std::string& what) {
+  for (int threads : {1, 2, 3, 8}) {
+    const ParallelOptions par{threads};
+    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
+                            "]";
+    ExpectReferenceWitness(reference, FindKeyViolationEncoded(enc, key, par),
+                           tag);
+    EXPECT_EQ(ValidateKeyEncoded(enc, key, par), !reference.has_value())
+        << tag;
+  }
+  ExpectReferenceWitness(reference, FindKeyViolationFast(table, key),
+                         what + " [fast]");
+}
+
 void CheckFdAllPaths(const Table& table, const EncodedTable& enc,
                      const FunctionalDependency& fd,
                      const std::string& context) {
   const bool expect = OracleSatisfiesFd(table, fd);
   const std::string what = context + " fd=" + fd.ToString(table.schema());
 
-  EXPECT_EQ(Satisfies(table, fd), expect) << what << " [satisfies.h]";
+  const std::optional<Violation> reference = FindFdViolation(table, fd);
+  EXPECT_EQ(!reference.has_value(), expect) << what << " [satisfies.h]";
+  if (reference) {
+    ExpectGenuineFdWitness(table, fd, *reference, what + " [satisfies.h]");
+  }
   EXPECT_EQ(ValidateFd(table, fd), expect) << what << " [ValidateFd]";
 
   auto tuple = FindFdViolationTuple(table, fd);
   EXPECT_EQ(!tuple.has_value(), expect) << what << " [tuple]";
   if (tuple) ExpectGenuineFdWitness(table, fd, *tuple, what + " [tuple]");
 
-  for (int threads : {1, 4}) {
-    const ParallelOptions par{threads};
-    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
-                            "]";
-    auto encoded = FindFdViolationEncoded(enc, fd, par);
-    EXPECT_EQ(!encoded.has_value(), expect) << tag;
-    if (encoded) ExpectGenuineFdWitness(table, fd, *encoded, tag);
-    EXPECT_EQ(ValidateFdEncoded(enc, fd, par), expect) << tag;
-  }
-
-  auto fast = FindFdViolationFast(table, fd);
-  EXPECT_EQ(!fast.has_value(), expect) << what << " [fast]";
-  if (fast) ExpectGenuineFdWitness(table, fd, *fast, what + " [fast]");
+  CheckFdWitnesses(table, enc, fd, reference, what);
 }
 
 void CheckKeyAllPaths(const Table& table, const EncodedTable& enc,
@@ -145,26 +192,18 @@ void CheckKeyAllPaths(const Table& table, const EncodedTable& enc,
   const bool expect = OracleSatisfiesKey(table, key);
   const std::string what = context + " key=" + key.ToString(table.schema());
 
-  EXPECT_EQ(Satisfies(table, key), expect) << what << " [satisfies.h]";
+  const std::optional<Violation> reference = FindKeyViolation(table, key);
+  EXPECT_EQ(!reference.has_value(), expect) << what << " [satisfies.h]";
+  if (reference) {
+    ExpectGenuineKeyWitness(table, key, *reference, what + " [satisfies.h]");
+  }
   EXPECT_EQ(ValidateKey(table, key), expect) << what << " [ValidateKey]";
 
   auto tuple = FindKeyViolationTuple(table, key);
   EXPECT_EQ(!tuple.has_value(), expect) << what << " [tuple]";
   if (tuple) ExpectGenuineKeyWitness(table, key, *tuple, what + " [tuple]");
 
-  for (int threads : {1, 4}) {
-    const ParallelOptions par{threads};
-    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
-                            "]";
-    auto encoded = FindKeyViolationEncoded(enc, key, par);
-    EXPECT_EQ(!encoded.has_value(), expect) << tag;
-    if (encoded) ExpectGenuineKeyWitness(table, key, *encoded, tag);
-    EXPECT_EQ(ValidateKeyEncoded(enc, key, par), expect) << tag;
-  }
-
-  auto fast = FindKeyViolationFast(table, key);
-  EXPECT_EQ(!fast.has_value(), expect) << what << " [fast]";
-  if (fast) ExpectGenuineKeyWitness(table, key, *fast, what + " [fast]");
+  CheckKeyWitnesses(table, enc, key, reference, what);
 }
 
 // All four constraint classes (p-/c-FD, p-/c-key) over random column
@@ -380,6 +419,89 @@ TEST(DifferentialTest, PinnedCorners) {
     }
     ++idx;
   }
+}
+
+// Like RandomInstance, but each column draws from its own domain: 3 or
+// 40 values, or rows²/4, where one column alone holds about two equal
+// pairs, so the smallest violating pair can sit anywhere in the table.
+Table MixedDomainInstance(Rng* rng, const TableSchema& schema, int rows,
+                          double null_rate) {
+  std::vector<int64_t> domains;
+  for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+    domains.push_back(
+        std::vector<int64_t>{3, 40, int64_t{rows} * rows / 4}[rng->Index(3)]);
+  }
+  Table table(schema);
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Value> values;
+    for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+      if (!schema.nfs().Contains(a) && rng->Chance(null_rate)) {
+        values.push_back(Value::Null());
+      } else {
+        values.push_back(Value::Int(rng->Uniform(0, domains[a] - 1)));
+      }
+    }
+    const Status st = table.AddRow(Tuple(std::move(values)));
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  return table;
+}
+
+// --- Sweep 5: tables of 2,048–4,000 rows, at or past the validators'
+// threading threshold, so threads > 1 run the chunked scan and its
+// left-to-right fold must still yield the reference witness. Every
+// nullable column holds ⊥, so certain constraints group on part of
+// their LHS and compare the rest weakly. The O(n²) oracle and the tuple
+// path stay with the smaller sweeps; the reference checker stops at its
+// witness, so only satisfied constraints cost it a full pair scan.
+TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
+  Rng rng(20261017);
+  const int tables = ScaledIters(12);
+  int satisfied = 0, weak_rest = 0, deep = 0;
+  for (int iter = 0; iter < tables; ++iter) {
+    const int cols = static_cast<int>(rng.Uniform(2, 5));
+    const TableSchema schema = RandomSchema(&rng, cols);
+    const int rows = static_cast<int>(rng.Uniform(2048, 4000));
+    const Table table = MixedDomainInstance(&rng, schema, rows,
+                                            0.02 + rng.NextDouble() * 0.2);
+    const EncodedTable enc(table);
+    const std::string context =
+        "large iter=" + std::to_string(iter) + " rows=" + std::to_string(rows);
+    for (Mode mode : {Mode::kPossible, Mode::kCertain}) {
+      FunctionalDependency fd;
+      fd.rhs = AttributeSet::Single(static_cast<AttributeId>(rng.Index(cols)));
+      fd.lhs = RandomSubset(&rng, cols, 0.5).Difference(fd.rhs);
+      fd.mode = mode;
+      const std::optional<Violation> fd_ref = FindFdViolation(table, fd);
+      CheckFdWitnesses(table, enc, fd, fd_ref,
+                       context + " fd=" + fd.ToString(schema));
+
+      KeyConstraint key;
+      key.attrs = RandomSubset(&rng, cols, 0.5);
+      if (key.attrs.empty()) {
+        key.attrs =
+            AttributeSet::Single(static_cast<AttributeId>(rng.Index(cols)));
+      }
+      key.mode = mode;
+      const std::optional<Violation> key_ref = FindKeyViolation(table, key);
+      CheckKeyWitnesses(table, enc, key, key_ref,
+                        context + " key=" + key.ToString(schema));
+
+      for (const std::optional<Violation>& ref : {fd_ref, key_ref}) {
+        satisfied += !ref.has_value();
+        deep += ref.has_value() && ref->row1 >= rows / 8;
+      }
+      if (mode == Mode::kCertain) {
+        weak_rest += !fd.lhs.IsSubsetOf(enc.NullFreeColumns()) +
+                     !key.attrs.IsSubsetOf(enc.NullFreeColumns());
+      }
+    }
+  }
+  // The draws must reach satisfied constraints, certain ones with ⊥ in
+  // the LHS, and witnesses past the first chunk of a 2-thread scan.
+  EXPECT_GT(satisfied, 0);
+  EXPECT_GT(weak_rest, 0);
+  EXPECT_GT(deep, 0);
 }
 
 // ===================== Columnar executor section =====================

@@ -344,28 +344,6 @@ TEST(SimdKernelTest, FoldMaskMatchesScalar) {
   }
 }
 
-TEST(SimdKernelTest, GatherCodesMatchesScalar) {
-  Rng rng(20260810);
-  std::vector<uint32_t> codes(4096);
-  for (size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<uint32_t>(rng.Uniform(0, 1 << 20));
-  }
-  for (Level level : AvailableLevels()) {
-    for (int n : kLengths) {
-      std::vector<int> rows(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        rows[static_cast<size_t>(i)] =
-            static_cast<int>(rng.Uniform(0, 4095));
-      }
-      std::vector<uint32_t> got(static_cast<size_t>(n) + 1, 7);
-      std::vector<uint32_t> ref = got;
-      GatherCodes(level, codes.data(), rows.data(), n, got.data());
-      GatherCodes(Level::kScalar, codes.data(), rows.data(), n, ref.data());
-      ASSERT_EQ(got, ref) << "level=" << LevelName(level) << " n=" << n;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace simd
 }  // namespace sqlnf
