@@ -7,7 +7,8 @@
 //     fold the equality join back (JoinComponents vs
 //     JoinComponentsEncoded at 1 and 4 threads),
 //   * point scans by city (SelectWhere vs SelectRowsEncoded + gather),
-//   * group fact updates (UpdateWhere vs UpdateWhereEncoded).
+//   * group fact updates (UpdateWhere vs Database::Update, the catalog's
+//     UPDATE on codes with the λ-FDs checked on the changed rows).
 //
 // The encode cost the columnar path pays once at ingest is timed
 // separately; in the engine the enforcer maintains the encoding
@@ -64,8 +65,10 @@
 #include "sqlnf/decomposition/encoded_ops.h"
 #include "sqlnf/decomposition/lossless.h"
 #include "sqlnf/decomposition/vrnf_decompose.h"
+#include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/reference/relops.h"
 #include "sqlnf/util/fnv.h"
 #include "sqlnf/util/rng.h"
 #include "sqlnf/util/text_table.h"
@@ -416,7 +419,9 @@ int Run() {
   // --- group fact updates: flip the status of one city group, 20
   // rounds, alternating so every round touches the whole group.
   Table row_upd = big;
-  EncodedTable enc_upd = *enc;
+  WriterScope writer;
+  Database db;
+  bench::CheckOk(db.IngestTable(big, sigma), "ingest");
   int row_changed = 0;
   double row_update_ms = TimeMs([&] {
     for (int round = 0; round < 20; ++round) {
@@ -433,14 +438,18 @@ int Run() {
   double enc_update_ms = TimeMs([&] {
     for (int round = 0; round < 20; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
-      enc_changed += UpdateWhereEncoded(
-          &enc_upd, Predicate::And({Cmp(city, CompareOp::kEq, city_value(7))}),
-          status, v);
+      enc_changed += ValueOrDie(
+          db.Update(big.schema().name(),
+                    Predicate::And({Cmp(city, CompareOp::kEq, city_value(7))}),
+                    status, v),
+          "catalog update");
     }
   });
   const bool update_same =
       row_changed == enc_changed &&
-      SameMultisetEncoded(EncodedTable(row_upd), enc_upd);
+      SameMultisetEncoded(EncodedTable(row_upd),
+                          ValueOrDie(db.Find(big.schema().name()), "find")
+                              ->columns());
 
   // --- E17: range/IN/OR scans over the sequence column (uniform
   // 1..kScale, 173 rows per value) at three selectivities, against a

@@ -1,8 +1,9 @@
 // Mixed read/write concurrency bench over the snapshot machinery
 // (EXPERIMENTS.md E16): ONE writer thread batching transactions through
 // the incremental enforcer while {1, 4, 16} reader threads stream
-// point SELECTs against GetSnapshot/SelectFromSnapshot. Readers never
-// block the writer beyond the snapshot-publication mutex; the scan and
+// point SELECTs the way the server's read path runs them: SnapshotAll,
+// then ExecuteReadOnly on the snapshot map. Readers never block the
+// writer beyond the snapshot-publication mutex; the parse, scan and
 // decode run on an immutable epoch.
 //
 // Emits BENCH_concurrency.json: one record per (op, reader count) with
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "sqlnf/core/value.h"
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
+#include "sqlnf/engine/sql.h"
 #include "sqlnf/util/rng.h"
 
 namespace sqlnf::bench {
@@ -88,7 +91,7 @@ struct ReaderResult {
   int64_t hits = 0;
 };
 
-// One reader: loop GetSnapshot + point SELECT on a random preloaded
+// One reader: loop SnapshotAll + a point SELECT on a random preloaded
 // key until `stop`. Asserts the snapshot stream is sane (monotone
 // epochs/rows, whole-batch row counts are the writer's job to keep).
 void ReaderLoop(Database* db, std::atomic<bool>* stop,
@@ -99,32 +102,32 @@ void ReaderLoop(Database* db, std::atomic<bool>* stop,
   int last_rows = 0;
   while (!stop->load(std::memory_order_relaxed)) {
     auto start = std::chrono::steady_clock::now();
-    Result<TableSnapshot> snap = db->GetSnapshot("kv");
-    if (!snap.ok()) {
+    const std::map<std::string, TableSnapshot> snaps = db->SnapshotAll();
+    auto snap = snaps.find("kv");
+    if (snap == snaps.end()) {
       failures->fetch_add(1);
       return;
     }
     int64_t key = rng.Uniform(0, kPreloadRows - 1);
-    Result<Table> rows = SelectFromSnapshot(
-        snap.value(),
-        Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(key))}));
-    if (!rows.ok() || rows.value().num_rows() != 1) {
+    Result<QueryResult> rows = ExecuteReadOnly(
+        snaps, "SELECT * FROM kv WHERE k = " + std::to_string(key) + ";");
+    if (!rows.ok() || rows->rows->num_rows() != 1) {
       failures->fetch_add(1);
       return;
     }
     out->latencies_us.push_back(MicrosSince(start));
     ++out->ops;
-    out->hits += rows.value().num_rows();
+    out->hits += rows->rows->num_rows();
     // Epochs and committed row counts only ever advance: a snapshot
     // can never travel backwards in the commit history.
-    if (snap.value().epoch < last_epoch ||
-        (snap.value().epoch == last_epoch &&
-         snap.value().num_rows() < last_rows)) {
+    if (snap->second.epoch < last_epoch ||
+        (snap->second.epoch == last_epoch &&
+         snap->second.num_rows() < last_rows)) {
       failures->fetch_add(1);
       return;
     }
-    last_epoch = snap.value().epoch;
-    last_rows = snap.value().num_rows();
+    last_epoch = snap->second.epoch;
+    last_rows = snap->second.num_rows();
   }
 }
 

@@ -14,6 +14,7 @@
 #include "sqlnf/engine/writer_role.h"
 #include "sqlnf/engine/relops.h"
 #include "sqlnf/engine/validate.h"
+#include "sqlnf/reference/validate.h"
 #include "sqlnf/util/text_table.h"
 
 namespace sqlnf {

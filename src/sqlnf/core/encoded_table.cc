@@ -230,9 +230,14 @@ AttributeSet EncodedTable::NullFreeColumns() const {
 }
 
 std::vector<int> EncodedTable::DictionarySizes() const {
-  std::vector<int> sizes(columns_.size(), 0);
-  for (AttributeId col : encoded_) sizes[col] = dictionary_size(col);
+  std::vector<int> sizes;
+  DictionarySizes(&sizes);
   return sizes;
+}
+
+void EncodedTable::DictionarySizes(std::vector<int>* sizes) const {
+  sizes->assign(columns_.size(), 0);
+  for (AttributeId col : encoded_) (*sizes)[col] = dictionary_size(col);
 }
 
 void EncodedTable::TrimDictionaries(const std::vector<int>& sizes) {

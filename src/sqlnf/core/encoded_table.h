@@ -134,6 +134,8 @@ class EncodedTable {
   /// high-water mark an undo log records before a statement or
   /// transaction mutates this encoding (unencoded columns report 0).
   std::vector<int> DictionarySizes() const;
+  /// The same marks written into `*sizes`, reusing its storage.
+  void DictionarySizes(std::vector<int>* sizes) const;
 
   /// Retires every code minted past the recorded high-water marks:
   /// column by column, values with codes >= sizes[col] are dropped from

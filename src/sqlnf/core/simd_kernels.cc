@@ -16,7 +16,6 @@
 //     into the output in a single 8-byte write.
 //   * unsigned compares — SSE2/AVX2 only have signed 32-bit compares;
 //     `t < span (unsigned)` becomes `(t ^ 2^31) <s (span ^ 2^31)`.
-//     NEON compares unsigned natively.
 //   * clamped gathers — rank/table lookups clamp codes with unsigned
 //     min(code, d) BEFORE the gather, so the ⊥/miss sentinels
 //     (0xFFFFFFFE/F) land on slot d and every index fits in a signed
@@ -40,9 +39,6 @@
 #if SQLNF_SIMD_X86
 #include <immintrin.h>
 #endif
-#if SQLNF_SIMD_NEON
-#include <arm_neon.h>
-#endif
 
 namespace sqlnf {
 namespace simd {
@@ -56,7 +52,7 @@ Level CpuMax() {
 #if SQLNF_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
-#if SQLNF_SIMD_X86 || SQLNF_SIMD_NEON
+#if SQLNF_SIMD_X86
   return Level::kSimd128;
 #else
   return Level::kScalar;
@@ -365,64 +361,6 @@ void FoldMaskSse2(const uint64_t* h, int n, uint64_t mask, uint32_t* out) {
 #endif  // SQLNF_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON kernels — the portable 128-bit path on AArch64. Only the
-// streaming compares are vectorized (NEON compares unsigned natively);
-// gather-shaped kernels stay scalar, same as SSE2.
-// ---------------------------------------------------------------------------
-
-#if SQLNF_SIMD_NEON
-
-// Narrows two 32-bit lane masks (0 / 0xFFFFFFFF) to eight 0/1 match
-// bytes and stores or ANDs them.
-inline void StoreLanes8Neon(uint32x4_t m_lo, uint32x4_t m_hi, bool and_mode,
-                            uint8_t* dst) {
-  uint16x8_t m16 = vcombine_u16(vmovn_u32(m_lo), vmovn_u32(m_hi));
-  uint8x8_t bytes = vand_u8(vmovn_u16(m16), vdup_n_u8(1));
-  if (and_mode) bytes = vand_u8(bytes, vld1_u8(dst));
-  vst1_u8(dst, bytes);
-}
-
-void EqCodeNeon(const uint32_t* codes, int n, uint32_t want, bool and_mode,
-                uint8_t* out) {
-  const uint32x4_t w = vdupq_n_u32(want);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    StoreLanes8Neon(vceqq_u32(vld1q_u32(codes + i), w),
-                    vceqq_u32(vld1q_u32(codes + i + 4), w), and_mode,
-                    out + i);
-  }
-  EqCodeScalar(codes + i, n - i, want, and_mode, out + i);
-}
-
-void NeCodeNeon(const uint32_t* codes, int n, uint32_t want, bool and_mode,
-                uint8_t* out) {
-  const uint32x4_t w = vdupq_n_u32(want);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    StoreLanes8Neon(vmvnq_u32(vceqq_u32(vld1q_u32(codes + i), w)),
-                    vmvnq_u32(vceqq_u32(vld1q_u32(codes + i + 4), w)),
-                    and_mode, out + i);
-  }
-  NeCodeScalar(codes + i, n - i, want, and_mode, out + i);
-}
-
-void CodeIntervalNeon(const uint32_t* codes, int n, uint32_t lo,
-                      uint32_t span, bool and_mode, uint8_t* out) {
-  const uint32x4_t lov = vdupq_n_u32(lo);
-  const uint32x4_t spanv = vdupq_n_u32(span);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint32x4_t ta = vsubq_u32(vld1q_u32(codes + i), lov);
-    uint32x4_t tb = vsubq_u32(vld1q_u32(codes + i + 4), lov);
-    StoreLanes8Neon(vcltq_u32(ta, spanv), vcltq_u32(tb, spanv), and_mode,
-                    out + i);
-  }
-  CodeIntervalScalar(codes + i, n - i, lo, span, and_mode, out + i);
-}
-
-#endif  // SQLNF_SIMD_NEON
-
-// ---------------------------------------------------------------------------
 // AVX2 kernels. Compiled with a per-function target attribute so the
 // rest of the binary keeps the baseline ISA; whether they run is
 // decided at runtime (ActiveLevel). Eight 32-bit lanes per iteration.
@@ -635,11 +573,6 @@ void EqCode(Level level, const uint32_t* codes, int n, uint32_t want,
     EqCodeSse2(codes, n, want, and_mode, out);
     return;
   }
-#elif SQLNF_SIMD_NEON
-  if (l >= Level::kSimd128) {
-    EqCodeNeon(codes, n, want, and_mode, out);
-    return;
-  }
 #endif
   (void)l;
   EqCodeScalar(codes, n, want, and_mode, out);
@@ -653,11 +586,6 @@ void NeCode(Level level, const uint32_t* codes, int n, uint32_t want,
 #if SQLNF_SIMD_X86
   if (l >= Level::kSimd128) {
     NeCodeSse2(codes, n, want, and_mode, out);
-    return;
-  }
-#elif SQLNF_SIMD_NEON
-  if (l >= Level::kSimd128) {
-    NeCodeNeon(codes, n, want, and_mode, out);
     return;
   }
 #endif
@@ -680,11 +608,6 @@ void CodeInterval(Level level, const uint32_t* codes, int n, uint32_t lo,
     CodeIntervalSse2(codes, n, lo, span, and_mode, out);
     return;
   }
-#elif SQLNF_SIMD_NEON
-  if (l >= Level::kSimd128) {
-    CodeIntervalNeon(codes, n, lo, span, and_mode, out);
-    return;
-  }
 #endif
   (void)l;
   CodeIntervalScalar(codes, n, lo, span, and_mode, out);
@@ -701,8 +624,8 @@ void RankInterval(Level level, const uint32_t* codes, int n,
     return;
   }
 #endif
-  // No 128-bit variant: the kernel is gather-bound and SSE2/NEON have
-  // no gather — the scalar reference is the 128-bit path too.
+  // No 128-bit variant: the kernel is gather-bound and SSE2 has no
+  // gather — the scalar reference is the 128-bit path too.
   (void)l;
   RankIntervalScalar(codes, n, rank, d, lo, span, and_mode, out);
 }

@@ -8,8 +8,9 @@
 //
 // Each kernel ships in up to three compile-time ISA variants — a scalar
 // reference (auto-vectorization disabled: it is the differential
-// oracle), a portable 128-bit path (SSE2 on x86-64, NEON on AArch64),
-// and AVX2 — selected by the explicit `Level` argument. A variant
+// oracle), a 128-bit path (SSE2, the x86-64 baseline), and AVX2 —
+// selected by the explicit `Level` argument. Other targets, AArch64
+// included, run the scalar reference at every level. A variant
 // stays only if it beats the level below it by ≥ 1.3× in E19
 // (BENCH_simd.json); a level without a variant of its own runs the
 // next lower one, down to the scalar reference. Call sites
@@ -41,9 +42,8 @@ namespace sqlnf {
 namespace simd {
 
 /// Dispatch levels, ordered: higher levels may only be selected when
-/// the CPU supports them. kSimd128 is SSE2 on x86-64 and NEON on
-/// AArch64 (the portable 128-bit path); on other targets it aliases
-/// the scalar reference.
+/// the CPU supports them. kSimd128 is SSE2 on x86-64; on other
+/// targets DetectedLevel() is kScalar.
 enum class Level : uint8_t {
   kScalar = 0,
   kSimd128 = 1,

@@ -1,45 +1,10 @@
 #include "sqlnf/engine/catalog.h"
 
-#include "sqlnf/core/similarity.h"
+#include <numeric>
+
+#include "sqlnf/engine/relops.h"
 
 namespace sqlnf {
-
-std::optional<Violation> ValidateRowAgainst(const Table& table,
-                                            const Tuple& row,
-                                            const ConstraintSet& sigma) {
-  // NFS first.
-  for (AttributeId a : table.schema().nfs()) {
-    if (row[a].is_null()) {
-      Violation v;
-      v.row1 = v.row2 = table.num_rows();
-      v.attribute = a;
-      return v;
-    }
-  }
-  // Pair the candidate with every stored row.
-  for (int i = 0; i < table.num_rows(); ++i) {
-    const Tuple& existing = table.row(i);
-    for (const auto& fd : sigma.fds()) {
-      const bool similar = fd.is_possible()
-                               ? StronglySimilar(row, existing, fd.lhs)
-                               : WeaklySimilar(row, existing, fd.lhs);
-      if (similar && !row.EqualOn(existing, fd.rhs)) {
-        return Violation{i, table.num_rows(), Constraint(fd),
-                         std::nullopt};
-      }
-    }
-    for (const auto& key : sigma.keys()) {
-      const bool similar = key.is_possible()
-                               ? StronglySimilar(row, existing, key.attrs)
-                               : WeaklySimilar(row, existing, key.attrs);
-      if (similar) {
-        return Violation{i, table.num_rows(), Constraint(key),
-                         std::nullopt};
-      }
-    }
-  }
-  return std::nullopt;
-}
 
 Tuple StoredTable::DecodeRow(int row) const {
   const EncodedTable& enc = columns();
@@ -49,14 +14,6 @@ Tuple StoredTable::DecodeRow(int row) const {
     values.push_back(enc.DecodeCode(a, enc.code(a, row)));
   }
   return Tuple(std::move(values));
-}
-
-Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
-                                 const Predicate& where) {
-  SQLNF_RETURN_NOT_OK(
-      ValidatePredicate(where, snapshot.schema.num_attributes()));
-  const std::vector<int> sel = SelectRowsEncoded(*snapshot.columns, where);
-  return snapshot.columns->GatherRows(sel).Decode(snapshot.schema);
 }
 
 Status Database::CreateTableLocked(const TableSchema& schema,
@@ -86,14 +43,16 @@ Status Database::IngestTable(const Table& data, ConstraintSet sigma) {
   }
   const std::string& name = data.schema().name();
   SQLNF_RETURN_NOT_OK(CreateTableLocked(data.schema(), std::move(sigma)));
-  // Auto-commit inserts only mark the table dirty, and mu_ is held for
-  // the whole load, so no reader can publish a half-loaded table.
-  for (const Tuple& row : data.rows()) {
-    Status st = InsertLocked(name, row);
-    if (!st.ok()) {
-      tables_.erase(name);
-      return st;
-    }
+  int next = 0;
+  Result<int> loaded =
+      InsertRowsLocked(name, [&](Tuple* row) -> Result<bool> {
+        if (next == data.num_rows()) return false;
+        *row = data.row(next++);
+        return true;
+      });
+  if (!loaded.ok()) {
+    tables_.erase(name);
+    return loaded.status();
   }
   return Status::OK();
 }
@@ -147,50 +106,82 @@ Result<StoredTable*> Database::FindMutable(const std::string& name) {
   return &it->second;
 }
 
-Status Database::InsertLocked(const std::string& name, Tuple row) {
+Result<int> Database::InsertRowsLocked(const std::string& name,
+                                       const RowSource& next) {
   SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  if (row.size() != stored->num_columns()) {
-    return Status::Invalid("INSERT arity mismatch: got " +
-                           std::to_string(row.size()) + ", expected " +
-                           std::to_string(stored->num_columns()));
-  }
-  const int row_id = stored->num_rows();
-  if (auto violation = stored->enforcer().Check(row, row_id)) {
-    return Status::FailedPrecondition(
-        "INSERT rejected: " + violation->ToString(stored->schema()));
-  }
+  IncrementalEnforcer& enforcer = stored->enforcer();
+  const int first = stored->num_rows();
+  enforcer.encoding().DictionarySizes(&insert_mark_);
+  TableUndo* undo = nullptr;
   if (txn_) {
-    // Pin the committed state for readers, then log the inverse. Touch
-    // runs BEFORE the mutation so the dictionary high-water marks
-    // predate any code this statement mints.
+    // Pin the committed state for readers, and take the transaction's
+    // dictionary marks before this statement mints a code.
     stored->PinSnapshot(mu_);
-    TableUndo& undo = txn_->Touch(name, stored->columns());
-    stored->enforcer().Add(row, row_id);
-    UndoRecord r;
-    r.kind = UndoRecord::Kind::kInsert;
-    r.row_id = row_id;
-    undo.ops.push_back(std::move(r));
-  } else {
-    stored->enforcer().Add(row, row_id);
+    undo = &txn_->Touch(name, stored->columns());
+  }
+  Status failure;
+  Tuple row;
+  while (true) {
+    Result<bool> more = next(&row);
+    if (!more.ok()) {
+      failure = more.status();
+      break;
+    }
+    if (!*more) break;
+    if (row.size() != stored->num_columns()) {
+      failure = Status::Invalid("INSERT arity mismatch: got " +
+                                std::to_string(row.size()) + ", expected " +
+                                std::to_string(stored->num_columns()));
+      break;
+    }
+    const int row_id = stored->num_rows();
+    if (auto violation = enforcer.Check(row, row_id)) {
+      failure = Status::FailedPrecondition(
+          "INSERT rejected: " + violation->ToString(stored->schema()));
+      break;
+    }
+    enforcer.Add(row, row_id);
+  }
+  const int last = stored->num_rows();
+  if (!failure.ok()) {
+    // The statement's rows are the table's tail: unindex them, drop
+    // them in one compaction pass (no survivor is renumbered), and
+    // retire the codes they minted.
+    std::vector<int> tail(last - first);
+    std::iota(tail.begin(), tail.end(), first);
+    for (int id : tail) enforcer.Remove(id);
+    enforcer.CompactAfterErase(tail);
+    enforcer.TrimDictionaries(insert_mark_);
+    return failure;
+  }
+  if (undo != nullptr) {
+    for (int id = first; id < last; ++id) {
+      UndoRecord r;
+      r.kind = UndoRecord::Kind::kInsert;
+      r.row_id = id;
+      undo->ops.push_back(std::move(r));
+    }
+  } else if (last > first) {
     stored->MarkDirty(mu_);  // auto-commit
   }
-  return Status::OK();
+  return last - first;
+}
+
+Result<int> Database::InsertRows(const std::string& name,
+                                 const RowSource& next) {
+  MutexLock lock(mu_);
+  return InsertRowsLocked(name, next);
 }
 
 Status Database::Insert(const std::string& name, Tuple row) {
-  MutexLock lock(mu_);
-  return InsertLocked(name, std::move(row));
-}
-
-Result<Table> Database::Select(const std::string& name,
-                               const Predicate& where) const {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(const StoredTable* stored, FindLocked(name));
-  SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
-  // Columnar end to end: selection vector → gather → one decode at the
-  // result boundary (no per-row DecodeRow round trips).
-  const std::vector<int> sel = SelectRowsEncoded(stored->columns(), where);
-  return stored->columns().GatherRows(sel).Decode(stored->schema());
+  bool given = false;
+  return InsertRows(name, [&](Tuple* out) -> Result<bool> {
+           if (given) return false;
+           *out = std::move(row);
+           given = true;
+           return true;
+         })
+      .status();
 }
 
 Result<int> Database::Update(const std::string& name,

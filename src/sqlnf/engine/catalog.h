@@ -19,18 +19,20 @@
 //
 // ATOMICITY. Every constraint check runs through the incremental
 // enforcer's Check (engine/enforcer.h), on the rows a statement
-// changes only. An Insert is checked before it touches the table. A
-// rejected Update rolls back every slot it touched AND retires the
-// dictionary codes it minted (engine/txn.h), leaving the table
-// bit-identical. A multi-row SQL INSERT is not atomic yet: the SQL
-// layer issues one Insert per row, so the rows before a rejected (or
-// unparsable) one stay. Between Begin() and Commit() statements
-// accumulate in an undo log instead of auto-committing, so a logical
-// write that fans out over N normalized component tables commits or
-// aborts as one unit; Rollback() restores every touched table —
-// contents, constraint indexes, dictionaries — to its pre-transaction
-// state. DDL (create / ingest / drop) is barred while a transaction is
-// open.
+// changes only, and every statement is all or nothing. An INSERT
+// streams its rows through InsertRows, each checked before it is
+// appended; the first rejected (or unparsable) row removes the
+// statement's appended tail and retires the dictionary codes it
+// minted. A rejected Update rolls back every slot it touched AND
+// retires its codes (engine/txn.h). Either way the table is left
+// bit-identical, and since a statement holds mu_ from its first row to
+// its last, no reader sees part of one. Between Begin() and Commit()
+// statements accumulate in an undo log instead of auto-committing, so
+// a logical write that fans out over N normalized component tables
+// commits or aborts as one unit; Rollback() restores every touched
+// table — contents, constraint indexes, dictionaries — to its
+// pre-transaction state. DDL (create / ingest / drop) is barred while
+// a transaction is open.
 //
 // SNAPSHOT READS. Each stored table publishes an immutable snapshot of
 // its encoding at commit points. Publishing is lazy copy-on-write: the
@@ -43,8 +45,8 @@
 // to sweep). Concurrency contract: any number of threads may call
 // GetSnapshot() and read the returned snapshot, concurrently with ONE
 // writer thread calling the mutating methods; the remaining accessors
-// (Find / Select / Materialize / ...) touch live state and belong to
-// the writer thread.
+// (Find / Materialize / ...) touch live state and belong to the writer
+// thread.
 //
 // The contract is MACHINE-CHECKED (DESIGN.md §8): Database::mu_ is a
 // capability-annotated Mutex guarding tables_ and txn_, StoredTable's
@@ -59,6 +61,7 @@
 #define SQLNF_ENGINE_CATALOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -71,7 +74,7 @@
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
 #include "sqlnf/engine/enforcer.h"
-#include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/txn.h"
 #include "sqlnf/engine/writer_role.h"
 #include "sqlnf/util/mutex.h"
@@ -79,14 +82,6 @@
 #include "sqlnf/util/thread_annotations.h"
 
 namespace sqlnf {
-
-/// Checks one candidate row against an existing (assumed-consistent)
-/// instance: NFS, then each constraint against every stored row.
-/// Returns the violation or nullopt. O(rows · |Σ|) — the row-major
-/// reference for the enforcer's differential tests.
-std::optional<Violation> ValidateRowAgainst(const Table& table,
-                                            const Tuple& row,
-                                            const ConstraintSet& sigma);
 
 /// An immutable view of one table at a commit point. Copyable and
 /// cheap to pass between threads; the columns stay alive (and
@@ -102,14 +97,6 @@ struct TableSnapshot {
   int num_rows() const { return columns->num_rows(); }
   Table Materialize() const { return columns->Decode(schema); }
 };
-
-/// SELECT against a snapshot: the rows satisfying the WHERE predicate
-/// tree (engine/predicate.h — ranges, BETWEEN, IN, OR), matched on
-/// codes and decoded only at the result boundary. Safe to run from any
-/// reader thread without touching the Database; the compiled predicate
-/// reads only the snapshot's immutable columns.
-Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
-                                 const Predicate& where);
 
 /// One stored table. The instance lives as the enforcer's maintained
 /// encoding — columns() IS the data; Materialize() decodes on demand.
@@ -208,10 +195,10 @@ class Database {
       SQLNF_REQUIRES(writer_thread_role);
 
   /// Bulk-loads a row-major table through the enforcer (the CSV/ingest
-  /// boundary); the table name comes from data.schema(). Fails on the
-  /// first rejected row and drops the partially loaded table. The rows
-  /// go in as auto-commit inserts under one lock hold, so readers see
-  /// either no table or the whole load.
+  /// boundary); the table name comes from data.schema(). The rows go in
+  /// as one InsertRows statement under the lock that creates the table,
+  /// so readers see either no table or the whole load; on the first
+  /// rejected row the table is dropped again.
   Status IngestTable(const Table& data, ConstraintSet sigma)
       SQLNF_REQUIRES(writer_thread_role);
 
@@ -227,16 +214,28 @@ class Database {
   Result<const StoredTable*> Find(const std::string& name) const
       SQLNF_REQUIRES(writer_thread_role);
 
-  /// Inserts one row after validating it against the instance and Σ.
-  /// FailedPrecondition with the violation text on rejection.
-  Status Insert(const std::string& name, Tuple row)
+  /// Supplies one statement's rows to InsertRows, one per call: fills
+  /// *row and returns true, returns false after the last row, or
+  /// returns an error (the SQL reader's ParseError), which aborts the
+  /// statement.
+  using RowSource = std::function<Result<bool>(Tuple* row)>;
+
+  /// INSERT of one statement's rows as one unit, streamed: each row is
+  /// checked against the instance, Σ and the statement's earlier rows
+  /// before it is appended. On the first rejected row, or when `next`
+  /// fails, the rows appended so far are removed and the dictionary
+  /// codes they minted retired, so the table is left bit-identical;
+  /// the error is FailedPrecondition with the violation text (naming
+  /// the rejected row), Invalid on an arity mismatch, or `next`'s own.
+  /// mu_ is held from the first row to the last, so readers see the
+  /// whole statement or none of it. Inside a transaction the rows reach
+  /// the undo log only when the statement succeeds. Returns rows
+  /// inserted.
+  Result<int> InsertRows(const std::string& name, const RowSource& next)
       SQLNF_REQUIRES(writer_thread_role);
 
-  /// SELECT on live state: the rows satisfying the WHERE predicate
-  /// tree, matched on codes, gathered columnar, and decoded only at
-  /// the result boundary. Writer thread only — concurrent readers go
-  /// through GetSnapshot + SelectFromSnapshot.
-  Result<Table> Select(const std::string& name, const Predicate& where) const
+  /// InsertRows of a single row.
+  Status Insert(const std::string& name, Tuple row)
       SQLNF_REQUIRES(writer_thread_role);
 
   /// UPDATE ... SET column = value WHERE predicate tree, executed on
@@ -307,7 +306,8 @@ class Database {
 
   Status CreateTableLocked(const TableSchema& schema, ConstraintSet sigma)
       SQLNF_REQUIRES(mu_);
-  Status InsertLocked(const std::string& name, Tuple row)
+  Result<int> InsertRowsLocked(const std::string& name,
+                               const RowSource& next)
       SQLNF_REQUIRES(mu_, writer_thread_role);
 
   /// Serializes snapshot publication against the writer; all mutating
@@ -317,6 +317,10 @@ class Database {
   // Non-null while a transaction is open.
   std::unique_ptr<UndoLog> txn_ SQLNF_GUARDED_BY(mu_)
       SQLNF_PT_GUARDED_BY(mu_);
+  // The running INSERT's dictionary high-water marks. A member, not a
+  // per-statement local: its storage is reused, so a statement
+  // allocates nothing here between the rows it stores.
+  std::vector<int> insert_mark_ SQLNF_GUARDED_BY(mu_);
 };
 
 }  // namespace sqlnf

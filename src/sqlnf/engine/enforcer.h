@@ -1,7 +1,7 @@
 // Incremental constraint enforcement with code-based hash indexes.
 //
-// ValidateRowAgainst (catalog.h) probes every stored row per insert.
-// This enforcer maintains ONE dictionary encoding of the stored rows
+// The row-major reference, ValidateRowAgainst (reference/validate.h),
+// probes every stored row per insert. This enforcer maintains ONE dictionary encoding of the stored rows
 // (core/encoded_table.h) plus, per constraint, a hash index keyed by
 // the row's CODES on the constraint's STABLE columns.
 //

@@ -206,10 +206,13 @@ ResultSet Session::Execute(const std::string& script) {
       break;
     }
   }
-  // Inside an open transaction (CLI shell), reads must observe the
-  // transaction's own uncommitted writes — snapshots never do — so the
-  // script takes the writer path regardless.
-  if (all_read_only && !registry_->db()->InTransaction()) {
+  // Only a session that may hold a transaction across scripts (the CLI
+  // shell) can own the open one, and its reads must observe their own
+  // uncommitted writes, which snapshots never hold. Any other session's
+  // transaction ends with its script, so an open one belongs to
+  // someone else: read the committed snapshots.
+  if (all_read_only && !(options_.allow_open_transaction &&
+                         registry_->db()->InTransaction())) {
     return ExecuteSnapshots(script, statements);
   }
   return ExecuteWriter(script, statements);

@@ -12,7 +12,9 @@
 //   * ALL statements read-only (SELECT / SHOW / DESCRIBE) → take one
 //     atomic SnapshotAll() and execute lock-free against the immutable
 //     snapshot map (engine/sql.h ExecuteReadOnly). Any number of
-//     sessions run this path concurrently with the writer.
+//     sessions run this path concurrently with the writer, including
+//     while another session's script is inside BEGIN … COMMIT: they
+//     read the last committed state and never wait on it.
 //   * ANY write statement → acquire the registry's writer mutex, enter
 //     a WriterScope, and drive SqlSession. The phantom capability
 //     (engine/writer_role.h) makes the exclusion machine-checked: the
@@ -22,7 +24,10 @@
 // (another session would silently join it once the writer mutex is
 // released), so by default an open transaction at end-of-script is
 // rolled back and reported as an error; the single-session CLI shell
-// opts out via SessionOptions::allow_open_transaction.
+// opts out via SessionOptions::allow_open_transaction. Such a session
+// is the only one whose read-only scripts take the writer path, and
+// only while a transaction is open: its reads must see the
+// transaction's own uncommitted writes.
 //
 // The layer also hosts the shared non-SQL cores the CLI and the HTTP
 // service both render from: constraint validation over an encoding
@@ -162,7 +167,8 @@ class Session {
   const SessionOptions& options() const { return options_; }
 
   /// Executes a SQL script: all-read-only scripts run lock-free
-  /// against one atomic snapshot set; anything else serializes through
+  /// against one atomic snapshot set (unless this session may hold a
+  /// transaction and one is open); anything else serializes through
   /// the writer mutex. Never fails at the call level — errors are
   /// inside the ResultSet, with script-absolute offsets.
   ResultSet Execute(const std::string& script);

@@ -1,6 +1,7 @@
 #include "sqlnf/engine/sql.h"
 
 #include <cctype>
+#include <charconv>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -452,7 +453,16 @@ class Parser {
   Result<Value> ExpectLiteral() {
     if (Peek().kind == TokenKind::kString) return Value::Str(Next().text);
     if (Peek().kind == TokenKind::kNumber) {
-      return Value::Int(std::stoll(Next().text));
+      // The lexer guarantees an optional '-' and digits; only the range
+      // can fail.
+      const std::string& digits = Peek().text;
+      int64_t v = 0;
+      if (std::from_chars(digits.data(), digits.data() + digits.size(), v)
+              .ec != std::errc()) {
+        return ParseErrorHere("integer literal out of range: " + digits);
+      }
+      ++pos_;
+      return Value::Int(v);
     }
     if (Peek().kind == TokenKind::kIdentifier && Peek().upper == "NULL") {
       ++pos_;
@@ -581,19 +591,28 @@ class Parser {
     SQLNF_RETURN_NOT_OK(ExpectKeyword("INTO"));
     SQLNF_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
     SQLNF_RETURN_NOT_OK(ExpectKeyword("VALUES"));
-    int inserted = 0;
-    do {
-      SQLNF_RETURN_NOT_OK(ExpectSymbol("("));
-      std::vector<Value> values;
-      do {
-        SQLNF_ASSIGN_OR_RETURN(Value v, ExpectLiteral());
-        values.push_back(std::move(v));
-      } while (AcceptSymbol(","));
-      SQLNF_RETURN_NOT_OK(ExpectSymbol(")"));
-      SQLNF_RETURN_NOT_OK(db_->Insert(name, Tuple(std::move(values))));
-      ++inserted;
-    } while (AcceptSymbol(","));
-    SQLNF_RETURN_NOT_OK(ExpectStatementEnd());
+    // The Database pulls one ( ... ) group per row and stores each as
+    // it arrives. The statement end is checked before the last row is
+    // handed over, so trailing garbage aborts the whole statement.
+    bool last_row_given = false;
+    SQLNF_ASSIGN_OR_RETURN(
+        int inserted,
+        db_->InsertRows(name, [&](Tuple* row) -> Result<bool> {
+          if (last_row_given) return false;
+          SQLNF_RETURN_NOT_OK(ExpectSymbol("("));
+          std::vector<Value> values;
+          do {
+            SQLNF_ASSIGN_OR_RETURN(Value v, ExpectLiteral());
+            values.push_back(std::move(v));
+          } while (AcceptSymbol(","));
+          SQLNF_RETURN_NOT_OK(ExpectSymbol(")"));
+          if (!AcceptSymbol(",")) {
+            SQLNF_RETURN_NOT_OK(ExpectStatementEnd());
+            last_row_given = true;
+          }
+          *row = Tuple(std::move(values));
+          return true;
+        }));
     QueryResult result;
     result.affected = inserted;
     result.message = std::to_string(inserted) + " row(s) inserted";

@@ -35,6 +35,8 @@
 // post-image through the enforcer as it re-adds it, and on a violation
 // replays that local log — so a rejected UPDATE leaves the table, its
 // indexes and its dictionaries bit-identical, minted codes retired.
+// Database::InsertRows needs no log: a failed INSERT's rows are the
+// table's tail, dropped in one CompactAfterErase before the trim.
 //
 // Statement vs transaction scope: a statement that fails validation
 // inside an open transaction rolls back only itself (its records never

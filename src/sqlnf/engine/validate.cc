@@ -2,12 +2,10 @@
 
 #include <cassert>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sqlnf/core/code_hash_index.h"
 #include "sqlnf/core/similarity.h"
-#include "sqlnf/util/fnv.h"
 #include "sqlnf/util/parallel.h"
 
 namespace sqlnf {
@@ -124,88 +122,18 @@ std::optional<Violation> FindKeyViolationEncoded(const EncodedTable& enc,
   return violation;
 }
 
-bool ValidateFdEncoded(const EncodedTable& enc,
-                       const FunctionalDependency& fd,
-                       const ParallelOptions& par) {
-  return !FindFdViolationEncoded(enc, fd, par).has_value();
-}
-
-bool ValidateKeyEncoded(const EncodedTable& enc, const KeyConstraint& key,
-                        const ParallelOptions& par) {
-  return !FindKeyViolationEncoded(enc, key, par).has_value();
-}
-
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ConstraintSet& sigma,
                         const ParallelOptions& par) {
   assert(nfs.IsSubsetOf(enc.encoded_columns()));
   if (!nfs.IsSubsetOf(enc.NullFreeColumns())) return false;
   for (const auto& fd : sigma.fds()) {
-    if (!ValidateFdEncoded(enc, fd, par)) return false;
+    if (FindFdViolationEncoded(enc, fd, par)) return false;
   }
   for (const auto& key : sigma.keys()) {
-    if (!ValidateKeyEncoded(enc, key, par)) return false;
+    if (FindKeyViolationEncoded(enc, key, par)) return false;
   }
   return true;
-}
-
-// ---- legacy tuple-hashing path ---------------------------------------
-
-namespace {
-
-size_t HashOn(const Tuple& t, const AttributeSet& x) {
-  uint64_t h = kFnv64OffsetBasis;
-  for (AttributeId a : x) h = FnvMix(h, t[a].Hash());
-  return h;
-}
-
-// FindViolatingPair's pre-columnar counterpart: rows hashed on the
-// exact LHS part into an unordered_map, then every pair in a bucket
-// compared, buckets in the map's iteration order.
-std::optional<Violation> FindViolatingPairTuple(const Table& table,
-                                                const AttributeSet& lhs,
-                                                bool possible,
-                                                const AttributeSet* rhs) {
-  const AttributeSet group =
-      possible ? lhs : lhs.Intersect(table.NullFreeColumns());
-  const AttributeSet rest = lhs.Difference(group);
-  std::unordered_map<uint64_t, std::vector<int>> buckets;
-  for (int i = 0; i < table.num_rows(); ++i) {
-    if (possible && !table.row(i).IsTotal(lhs)) continue;
-    buckets[HashOn(table.row(i), group)].push_back(i);
-  }
-  for (const auto& [hash, rows] : buckets) {
-    for (size_t a = 0; a < rows.size(); ++a) {
-      const Tuple& t = table.row(rows[a]);
-      for (size_t b = a + 1; b < rows.size(); ++b) {
-        const Tuple& u = table.row(rows[b]);
-        // Hash collisions: confirm the grouped columns really match.
-        if (t.EqualOn(u, group) && WeaklySimilar(t, u, rest) &&
-            (rhs == nullptr || !t.EqualOn(u, *rhs))) {
-          return Violation{rows[a], rows[b], std::nullopt, std::nullopt};
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<Violation> FindFdViolationTuple(
-    const Table& table, const FunctionalDependency& fd) {
-  std::optional<Violation> violation =
-      FindViolatingPairTuple(table, fd.lhs, fd.is_possible(), &fd.rhs);
-  if (violation) violation->constraint = Constraint(fd);
-  return violation;
-}
-
-std::optional<Violation> FindKeyViolationTuple(const Table& table,
-                                               const KeyConstraint& key) {
-  std::optional<Violation> violation =
-      FindViolatingPairTuple(table, key.attrs, key.is_possible(), nullptr);
-  if (violation) violation->constraint = Constraint(key);
-  return violation;
 }
 
 // ---- Table entry points (encode-and-forward) -------------------------
@@ -224,30 +152,13 @@ std::optional<Violation> FindKeyViolationFast(const Table& table,
   return FindKeyViolationEncoded(enc, key, par);
 }
 
-bool ValidateFd(const Table& table, const FunctionalDependency& fd,
-                const ParallelOptions& par) {
-  return !FindFdViolationFast(table, fd, par).has_value();
-}
-
-bool ValidateKey(const Table& table, const KeyConstraint& key,
-                 const ParallelOptions& par) {
-  return !FindKeyViolationFast(table, key, par).has_value();
-}
-
 bool ValidateAll(const Table& table, const ConstraintSet& sigma,
                  const ParallelOptions& par) {
-  if (!table.CheckNfs().ok()) return false;
-  AttributeSet needed;
+  AttributeSet needed = table.schema().nfs();
   for (const auto& fd : sigma.fds()) needed = needed | fd.lhs | fd.rhs;
   for (const auto& key : sigma.keys()) needed = needed | key.attrs;
   const EncodedTable enc(table, needed);
-  for (const auto& fd : sigma.fds()) {
-    if (!ValidateFdEncoded(enc, fd, par)) return false;
-  }
-  for (const auto& key : sigma.keys()) {
-    if (!ValidateKeyEncoded(enc, key, par)) return false;
-  }
-  return true;
+  return ValidateAllEncoded(enc, table.schema().nfs(), sigma, par);
 }
 
 }  // namespace sqlnf

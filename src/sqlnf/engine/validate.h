@@ -14,8 +14,10 @@
 // The Table entry points encode just the columns a constraint mentions
 // and forward to the EncodedTable kernels; callers that already hold an
 // encoding (a table snapshot behind /validate, discovery) skip the
-// encode entirely. The pre-columnar tuple-hashing path is kept as
-// *Tuple for differential testing and bench ablations.
+// encode entirely. A bare verdict is the negation of a Find*: there is
+// no bool wrapper per class. The pre-columnar tuple-hashing path that
+// E5 times these kernels against lives in reference/validate.h (the
+// sqlnf_reference library).
 //
 // Witness rule: a violated constraint reports its lexicographically
 // smallest violating pair (row1 < row2) — the pair
@@ -37,7 +39,7 @@
 // Property tests cross-check every validator against the reference and
 // a literal Definition-1/2 oracle (tests/reference_oracle.h).
 //
-// Every entry point except *Tuple takes an optional ParallelOptions:
+// Every entry point takes an optional ParallelOptions:
 // with threads > 1 on a table of at least 2,048 rows, the index builds
 // chunk-parallel and row chunks scan concurrently, folding left to
 // right, so verdict and witness are identical to serial.
@@ -55,25 +57,18 @@
 
 namespace sqlnf {
 
-/// Fast validation of one FD. Matches constraints/satisfies.h exactly.
-bool ValidateFd(const Table& table, const FunctionalDependency& fd,
-                const ParallelOptions& par = {});
-
-/// Fast validation of one key.
-bool ValidateKey(const Table& table, const KeyConstraint& key,
-                 const ParallelOptions& par = {});
-
 /// Fast validation of a whole constraint set (plus the NFS). Encodes
 /// the union of all mentioned columns once and reuses it.
 bool ValidateAll(const Table& table, const ConstraintSet& sigma,
                  const ParallelOptions& par = {});
 
-/// Like ValidateFd but returns the smallest violating row pair.
+/// The smallest violating row pair of one FD, or nullopt when it
+/// holds. Matches constraints/satisfies.h exactly.
 std::optional<Violation> FindFdViolationFast(
     const Table& table, const FunctionalDependency& fd,
     const ParallelOptions& par = {});
 
-/// Like ValidateKey but returns the smallest violating row pair.
+/// The smallest violating row pair of one key, or nullopt.
 std::optional<Violation> FindKeyViolationFast(
     const Table& table, const KeyConstraint& key,
     const ParallelOptions& par = {});
@@ -90,31 +85,11 @@ std::optional<Violation> FindKeyViolationEncoded(
     const EncodedTable& enc, const KeyConstraint& key,
     const ParallelOptions& par = {});
 
-bool ValidateFdEncoded(const EncodedTable& enc,
-                       const FunctionalDependency& fd,
-                       const ParallelOptions& par = {});
-
-bool ValidateKeyEncoded(const EncodedTable& enc, const KeyConstraint& key,
-                        const ParallelOptions& par = {});
-
 /// Whole-Σ validation on a shared encoding; `nfs` is the schema's NOT
 /// NULL set (the NFS holds iff those columns are null-free here).
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ConstraintSet& sigma,
                         const ParallelOptions& par = {});
-
-// ---- Legacy tuple-hashing path ---------------------------------------
-// The pre-columnar implementation (HashOn(Tuple) buckets in an
-// unordered_map, every pair in a bucket compared on Values; serial).
-// Verdict-equivalent to the encoded kernels, but its witness follows
-// the map's iteration order. Kept as the differential-testing baseline
-// and for the encoded-vs-tuple bench (E5).
-
-std::optional<Violation> FindFdViolationTuple(const Table& table,
-                                              const FunctionalDependency& fd);
-
-std::optional<Violation> FindKeyViolationTuple(const Table& table,
-                                               const KeyConstraint& key);
 
 }  // namespace sqlnf
 

@@ -2,12 +2,13 @@
 //
 // The engine's concurrency contract (engine/catalog.h) allows any
 // number of reader threads on the snapshot path (GetSnapshot /
-// SelectFromSnapshot) concurrently with exactly ONE writer thread
+// SnapshotAll, then ExecuteReadOnly or SelectRowsEncoded on the
+// immutable columns) concurrently with exactly ONE writer thread
 // driving the mutating entry points. No mutex expresses "this method
 // belongs to the writer thread" — Database::mu_ serializes individual
 // calls, but two threads interleaving Insert statements would still be
 // a contract breach (each would also read live state lock-free via
-// Find/Select between its statements).
+// Find between its statements).
 //
 // writer_thread_role encodes that discipline as a Clang capability:
 // every writer-thread-only entry point — Database mutators and live

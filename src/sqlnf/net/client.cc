@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <utility>
 
+#include "sqlnf/net/http.h"
+
 namespace sqlnf {
 namespace {
 
@@ -145,8 +147,9 @@ Result<HttpClientResponse> HttpConnection::ReadResponse() {
 
   size_t content_length = 0;
   if (auto it = response.headers.find("content-length");
-      it != response.headers.end()) {
-    content_length = static_cast<size_t>(std::stoll(it->second));
+      it != response.headers.end() &&
+      !ParseContentLength(it->second, &content_length)) {
+    return Status::IoError("malformed content-length: " + it->second);
   }
   while (buffer.size() - body_start < content_length) {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);

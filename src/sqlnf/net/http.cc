@@ -41,6 +41,18 @@ bool NextLine(std::string_view head, size_t* pos, std::string_view* line) {
 
 }  // namespace
 
+bool ParseContentLength(std::string_view value, size_t* length) {
+  if (value.empty() || value.size() > 12 ||
+      !std::all_of(value.begin(), value.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    return false;
+  }
+  *length = 0;
+  for (const char c : value) *length = *length * 10 + (c - '0');
+  return true;
+}
+
 std::string_view HttpReasonPhrase(int status) {
   switch (status) {
     case 200: return "OK";
@@ -172,15 +184,9 @@ HttpRequestReader::State HttpRequestReader::TryParse() {
   size_t content_length = 0;
   if (auto it = req.headers.find("content-length");
       it != req.headers.end()) {
-    const std::string& v = it->second;
-    if (v.empty() ||
-        !std::all_of(v.begin(), v.end(), [](unsigned char c) {
-          return std::isdigit(c) != 0;
-        }) ||
-        v.size() > 12) {
+    if (!ParseContentLength(it->second, &content_length)) {
       return FailWith(400, "malformed content-length");
     }
-    content_length = static_cast<size_t>(std::stoll(v));
     if (content_length > limits_.max_body_bytes) {
       return FailWith(413, "request body exceeds " +
                                std::to_string(limits_.max_body_bytes) +

@@ -59,6 +59,11 @@ std::string_view HttpReasonPhrase(int status);
 /// and Connection headers, CRLF CRLF, body.
 std::string SerializeHttpResponse(const HttpResponse& response);
 
+/// Parses a Content-Length value: 1 to 12 ASCII digits and nothing
+/// else. False for any other text — the one check both the request
+/// reader (400) and the client (IoError) apply.
+bool ParseContentLength(std::string_view value, size_t* length);
+
 /// Framing limits, enforced while parsing (before any handler runs).
 struct HttpReaderLimits {
   size_t max_head_bytes = 16 * 1024;

@@ -5,15 +5,12 @@
 // every other translation unit stays ISA-agnostic and portable: callers
 // see only the dispatch API of core/simd_kernels.h.
 //
-// Three compile-time tiers, probed here and selected at RUNTIME by
+// Two compile-time tiers, probed here and selected at RUNTIME by
 // core/simd_kernels.cc (simd::ActiveLevel):
 //
 //   SQLNF_SIMD_X86        x86-64 baseline — SSE2 is guaranteed by the
 //                         ABI, so the 128-bit kernels compile
 //                         unconditionally with no target attribute.
-//   SQLNF_SIMD_NEON       AArch64/ARM NEON — the portable 128-bit path
-//                         on ARM (compares and byte narrowing;
-//                         gather-shaped kernels stay scalar).
 //   SQLNF_SIMD_HAVE_AVX2  AVX2 kernels are COMPILED (per-function
 //                         __attribute__((target("avx2"))), so the rest
 //                         of the TU keeps the baseline ISA). Whether
@@ -22,8 +19,10 @@
 //                         the compile flags alone, so one binary runs
 //                         correctly on any x86-64.
 //
-// Defining SQLNF_SIMD_FORCE_SCALAR (the CI fallback leg) compiles out
-// every vector path: DetectedLevel() is kScalar and the scalar
+// Every other target, AArch64 included, runs the scalar kernels: no
+// CI leg compiles a vector tier there, so none ships. Defining
+// SQLNF_SIMD_FORCE_SCALAR (the CI fallback leg) compiles out every
+// vector path: DetectedLevel() is kScalar and the scalar
 // reference kernels — the differential oracle — are all that remains.
 // The kernels are bit-identical across levels by contract, so forcing
 // scalar can never change a result, only its speed.
@@ -36,12 +35,6 @@
 #define SQLNF_SIMD_X86 1
 #else
 #define SQLNF_SIMD_X86 0
-#endif
-
-#if !defined(SQLNF_SIMD_FORCE_SCALAR) && defined(__ARM_NEON)
-#define SQLNF_SIMD_NEON 1
-#else
-#define SQLNF_SIMD_NEON 0
 #endif
 
 // AVX2 via per-function target attributes needs GCC/Clang; MSVC would

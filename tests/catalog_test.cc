@@ -2,6 +2,7 @@
 // writes (the "trigger layer" SQL cannot declare).
 
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/reference/validate.h"
 
 #include <gtest/gtest.h>
 

@@ -8,7 +8,7 @@
 //   * the legacy tuple-hashing path (FindFdViolationTuple / ...KeyTuple),
 //   * the columnar kernels on a full EncodedTable at threads
 //     ∈ {1, 2, 3, 8},
-//   * the Table entry points (ValidateFd / ValidateKey / Find*Fast),
+//   * the Table entry points (Find*Fast),
 //   * the possible-world enumeration for keys on small tables.
 //
 // Verdicts must be identical everywhere. Witnesses are compared pair
@@ -41,6 +41,8 @@
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/relops.h"
 #include "sqlnf/engine/validate.h"
+#include "sqlnf/reference/relops.h"
+#include "sqlnf/reference/validate.h"
 #include "sqlnf/util/rng.h"
 #include "reference_oracle.h"
 #include "test_util.h"
@@ -143,8 +145,6 @@ void CheckFdWitnesses(const Table& table, const EncodedTable& enc,
                             "]";
     ExpectReferenceWitness(reference, FindFdViolationEncoded(enc, fd, par),
                            tag);
-    EXPECT_EQ(ValidateFdEncoded(enc, fd, par), !reference.has_value())
-        << tag;
   }
   ExpectReferenceWitness(reference, FindFdViolationFast(table, fd),
                          what + " [fast]");
@@ -160,8 +160,6 @@ void CheckKeyWitnesses(const Table& table, const EncodedTable& enc,
                             "]";
     ExpectReferenceWitness(reference, FindKeyViolationEncoded(enc, key, par),
                            tag);
-    EXPECT_EQ(ValidateKeyEncoded(enc, key, par), !reference.has_value())
-        << tag;
   }
   ExpectReferenceWitness(reference, FindKeyViolationFast(table, key),
                          what + " [fast]");
@@ -178,7 +176,6 @@ void CheckFdAllPaths(const Table& table, const EncodedTable& enc,
   if (reference) {
     ExpectGenuineFdWitness(table, fd, *reference, what + " [satisfies.h]");
   }
-  EXPECT_EQ(ValidateFd(table, fd), expect) << what << " [ValidateFd]";
 
   auto tuple = FindFdViolationTuple(table, fd);
   EXPECT_EQ(!tuple.has_value(), expect) << what << " [tuple]";
@@ -197,7 +194,6 @@ void CheckKeyAllPaths(const Table& table, const EncodedTable& enc,
   if (reference) {
     ExpectGenuineKeyWitness(table, key, *reference, what + " [satisfies.h]");
   }
-  EXPECT_EQ(ValidateKey(table, key), expect) << what << " [ValidateKey]";
 
   auto tuple = FindKeyViolationTuple(table, key);
   EXPECT_EQ(!tuple.has_value(), expect) << what << " [tuple]";
@@ -359,7 +355,7 @@ TEST(DifferentialTest, KeyWorldSemanticsOnSmallTables) {
       const bool expect = worlds.value();
       EXPECT_EQ(OracleSatisfiesKey(table, key), expect)
           << "iter=" << iter << " key=" << key.ToString(schema);
-      EXPECT_EQ(ValidateKeyEncoded(enc, key), expect)
+      EXPECT_EQ(!FindKeyViolationEncoded(enc, key).has_value(), expect)
           << "iter=" << iter << " key=" << key.ToString(schema);
     }
   }
@@ -778,11 +774,12 @@ TEST(DifferentialTest, ExecutorJoinCorners) {
   }
 }
 
-// --- Executor sweep 2: DML on codes vs DML on rows. SelectRowsEncoded,
-// UpdateWhereEncoded and DeleteWhereEncoded against the row-major
-// reference operators, which evaluate the same WHERE through the
-// MatchesPredicate oracle.
+// --- Executor sweep 2: DML on codes vs DML on rows. SelectRowsEncoded
+// and the catalog's UPDATE / DELETE (Database::Update/Delete, with an
+// empty Σ) against the row-major reference operators, which evaluate
+// the same WHERE through the MatchesPredicate oracle.
 TEST(DifferentialTest, ExecutorDmlOnCodes) {
+  WriterScope writer;
   Rng rng(31337);
   const int tables = ScaledIters(100);
   for (int iter = 0; iter < tables; ++iter) {
@@ -819,10 +816,9 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
       }
     }
 
-    // Update: a fresh non-⊥ value into a random column (⊥ would trip
-    // the reference path's NFS guard, which the raw encoded op — used
-    // below the Database layer, where the enforcer owns that check —
-    // deliberately lacks).
+    // Update: a fresh non-⊥ value into a random column (the reference
+    // path refuses ⊥ in a NOT NULL column even when no row matches,
+    // while the catalog checks only the rows it changes).
     const AttributeId target =
         static_cast<AttributeId>(rng.Index(cols));
     const Value new_value =
@@ -834,29 +830,38 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
                    : Value::Str("updated"));
     if (!new_value.is_null()) {
       Table upd_ref = table;
-      EncodedTable upd_enc(table);
+      Database upd_db;
+      ASSERT_OK(upd_db.IngestTable(table, ConstraintSet{})) << what;
       auto changed_ref = UpdateWhere(&upd_ref, pred, target, new_value);
       ASSERT_OK(changed_ref.status()) << what;
-      const int changed_enc =
-          UpdateWhereEncoded(&upd_enc, where, target, new_value);
-      EXPECT_EQ(changed_ref.value(), changed_enc) << what;
-      EXPECT_TRUE(upd_ref.SameMultiset(upd_enc.Decode(schema))) << what;
+      auto changed =
+          upd_db.Update(schema.name(), where, target, new_value);
+      ASSERT_OK(changed.status()) << what;
+      EXPECT_EQ(changed_ref.value(), changed.value()) << what;
+      ASSERT_OK_AND_ASSIGN(const StoredTable* stored,
+                           upd_db.Find(schema.name()));
+      EXPECT_TRUE(upd_ref.SameMultiset(stored->Materialize())) << what;
     }
 
     // Delete: same removed count, identical survivors.
     Table del_ref = table;
-    EncodedTable del_enc(table);
+    Database del_db;
+    ASSERT_OK(del_db.IngestTable(table, ConstraintSet{})) << what;
     const int removed_ref = DeleteWhere(&del_ref, pred);
-    const int removed_enc = DeleteWhereEncoded(&del_enc, where);
-    EXPECT_EQ(removed_ref, removed_enc) << what;
-    EXPECT_TRUE(del_ref.SameMultiset(del_enc.Decode(schema))) << what;
+    auto removed = del_db.Delete(schema.name(), where);
+    ASSERT_OK(removed.status()) << what;
+    EXPECT_EQ(removed_ref, removed.value()) << what;
+    ASSERT_OK_AND_ASSIGN(const StoredTable* stored,
+                         del_db.Find(schema.name()));
+    EXPECT_TRUE(del_ref.SameMultiset(stored->Materialize())) << what;
   }
 }
 
 // --- Executor sweep 3: the Database columnar DML end to end. With an
-// empty Σ (and an empty NFS, so no rejections) every Insert / Select /
-// Update / Delete through the catalog must track a shadow row-major
-// Table driven by the reference operators.
+// empty Σ (and an empty NFS, so no rejections) every Insert / Update /
+// Delete through the catalog, and every selection over its live
+// columns, must track a shadow row-major Table driven by the reference
+// operators.
 TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
   WriterScope writer;
   Rng rng(60606);
@@ -892,10 +897,11 @@ TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
         ASSERT_OK(db.Insert(schema.name(), t)) << what;
         ASSERT_OK(shadow.AddRow(t)) << what;
       } else if (kind == 1) {  // SELECT
-        auto got = db.Select(schema.name(), where);
-        ASSERT_OK(got.status()) << what;
-        EXPECT_TRUE(SelectWhere(shadow, pred).SameMultiset(got.value()))
-            << what;
+        const EncodedTable& columns = (*stored)->columns();
+        const Table got =
+            columns.GatherRows(SelectRowsEncoded(columns, where))
+                .Decode(schema);
+        EXPECT_TRUE(SelectWhere(shadow, pred).SameMultiset(got)) << what;
       } else if (kind == 2) {  // UPDATE (non-⊥ value: Σ empty, NFS empty)
         const AttributeId target = static_cast<AttributeId>(rng.Index(cols));
         const Value v = Value::Int(rng.Uniform(0, 2));

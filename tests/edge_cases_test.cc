@@ -71,8 +71,10 @@ TEST(EdgeCaseTest, EmptyKeyAttrsMeansAtMostOneRow) {
   EXPECT_TRUE(Satisfies(one, empty_c));
   EXPECT_FALSE(Satisfies(two, empty_p));  // any two rows agree on ∅
   EXPECT_FALSE(Satisfies(two, empty_c));
-  EXPECT_EQ(Satisfies(two, empty_p), ValidateKey(two, empty_p));
-  EXPECT_EQ(Satisfies(two, empty_c), ValidateKey(two, empty_c));
+  EXPECT_EQ(Satisfies(two, empty_p),
+            !FindKeyViolationFast(two, empty_p).has_value());
+  EXPECT_EQ(Satisfies(two, empty_c),
+            !FindKeyViolationFast(two, empty_c).has_value());
 }
 
 TEST(EdgeCaseTest, AllNullColumn) {
@@ -81,7 +83,7 @@ TEST(EdgeCaseTest, AllNullColumn) {
   // Everything weakly agrees on the ⊥ column.
   EXPECT_FALSE(Satisfies(t, Fd(schema, "a ->w b")));
   EXPECT_TRUE(Satisfies(t, Fd(schema, "a ->s b")));  // never strongly
-  EXPECT_EQ(ValidateFd(t, Fd(schema, "a ->w b")),
+  EXPECT_EQ(!FindFdViolationFast(t, Fd(schema, "a ->w b")).has_value(),
             Satisfies(t, Fd(schema, "a ->w b")));
   // Discovery handles it: column 0 is not null-free and is no key.
   ASSERT_OK_AND_ASSIGN(DiscoveryResult mined, DiscoverConstraints(t));

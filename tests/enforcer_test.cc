@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/reference/validate.h"
 #include "test_util.h"
 
 namespace sqlnf {

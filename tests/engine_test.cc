@@ -9,6 +9,7 @@
 #include "sqlnf/engine/ddl.h"
 #include "sqlnf/engine/relops.h"
 #include "sqlnf/engine/validate.h"
+#include "sqlnf/reference/relops.h"
 #include "test_util.h"
 
 namespace sqlnf {
@@ -177,19 +178,23 @@ TEST(RelopsTest, JoinAllReconstructs) {
 TEST(ValidateTest, MatchesReferenceOnPaperExamples) {
   TableSchema schema = Schema("oicp");
   Table fig5 = Rows(schema, {"1FAX", "1F_X", "3FAX", "3DKY"});
-  EXPECT_TRUE(ValidateFd(fig5, Fd(schema, "ic ->w p")));
-  EXPECT_FALSE(ValidateFd(fig5, Fd(schema, "ic ->w icp")));
-  EXPECT_TRUE(ValidateFd(fig5, Fd(schema, "ic ->s p")));
-  EXPECT_FALSE(ValidateKey(fig5, Key(schema, "c<ic>")));
+  EXPECT_FALSE(FindFdViolationFast(fig5, Fd(schema, "ic ->w p")).has_value());
+  EXPECT_TRUE(
+      FindFdViolationFast(fig5, Fd(schema, "ic ->w icp")).has_value());
+  EXPECT_FALSE(FindFdViolationFast(fig5, Fd(schema, "ic ->s p")).has_value());
+  EXPECT_TRUE(FindKeyViolationFast(fig5, Key(schema, "c<ic>")).has_value());
   // All four rows are pairwise distinct, so the full p-key holds — but
   // rows 0,1 are weakly similar on everything, so the full c-key fails.
-  EXPECT_TRUE(ValidateKey(fig5, Key(schema, "p<oicp>")));
-  EXPECT_FALSE(ValidateKey(fig5, Key(schema, "c<oicp>")));
+  EXPECT_FALSE(
+      FindKeyViolationFast(fig5, Key(schema, "p<oicp>")).has_value());
+  EXPECT_TRUE(
+      FindKeyViolationFast(fig5, Key(schema, "c<oicp>")).has_value());
 
   Table dup = Rows(schema, {"1FAX", "1FAX"});
-  EXPECT_FALSE(ValidateKey(dup, Key(schema, "p<oicp>")));
-  EXPECT_FALSE(ValidateKey(dup, Key(schema, "c<oicp>")));
-  EXPECT_TRUE(ValidateFd(dup, Fd(schema, "{} ->w oicp")));
+  EXPECT_TRUE(FindKeyViolationFast(dup, Key(schema, "p<oicp>")).has_value());
+  EXPECT_TRUE(FindKeyViolationFast(dup, Key(schema, "c<oicp>")).has_value());
+  EXPECT_FALSE(
+      FindFdViolationFast(dup, Fd(schema, "{} ->w oicp")).has_value());
 }
 
 TEST(ValidateTest, ViolationWitnessesAreReal) {
@@ -214,12 +219,12 @@ TEST_P(ValidatorPropertyTest, FastValidatorsMatchReference) {
       fd.lhs = testing::RandomSubset(&rng, n);
       fd.rhs = testing::RandomSubset(&rng, n);
       fd.mode = rng.Chance(0.5) ? Mode::kPossible : Mode::kCertain;
-      EXPECT_EQ(ValidateFd(t, fd), Satisfies(t, fd))
+      EXPECT_EQ(!FindFdViolationFast(t, fd).has_value(), Satisfies(t, fd))
           << fd.ToString(schema) << "\n" << t.ToString();
       KeyConstraint key{testing::RandomSubset(&rng, n, 0.5),
                         rng.Chance(0.5) ? Mode::kPossible
                                         : Mode::kCertain};
-      EXPECT_EQ(ValidateKey(t, key), Satisfies(t, key))
+      EXPECT_EQ(!FindKeyViolationFast(t, key).has_value(), Satisfies(t, key))
           << key.ToString(schema) << "\n" << t.ToString();
     }
   }

@@ -140,9 +140,11 @@ TEST(FuzzTest, CsvTablesThroughEncodedValidators) {
       for (Mode mode : {Mode::kPossible, Mode::kCertain}) {
         fd.mode = mode;
         key.mode = mode;
-        EXPECT_EQ(ValidateFdEncoded(enc, fd), Satisfies(*table, fd))
+        EXPECT_EQ(!FindFdViolationEncoded(enc, fd).has_value(),
+                  Satisfies(*table, fd))
             << "iter=" << i;
-        EXPECT_EQ(ValidateKeyEncoded(enc, key), Satisfies(*table, key))
+        EXPECT_EQ(!FindKeyViolationEncoded(enc, key).has_value(),
+                  Satisfies(*table, key))
             << "iter=" << i;
       }
     }

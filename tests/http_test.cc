@@ -103,6 +103,20 @@ TEST(HttpReaderTest, MalformedHeadersAre400) {
   }
 }
 
+// The one Content-Length check the request reader and the client
+// share: plain decimal digits, at most 12 of them, never a throw.
+TEST(HttpReaderTest, ContentLengthIsDigitsOnly) {
+  size_t length = 7;
+  EXPECT_TRUE(ParseContentLength("0", &length));
+  EXPECT_EQ(length, 0u);
+  EXPECT_TRUE(ParseContentLength("999999999999", &length));
+  EXPECT_EQ(length, 999999999999u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1e3", "0x10",
+                          "9999999999999", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseContentLength(bad, &length)) << '"' << bad << '"';
+  }
+}
+
 TEST(HttpReaderTest, OversizedHeadIs431) {
   HttpRequestReader::Limits limits;
   limits.max_head_bytes = 128;

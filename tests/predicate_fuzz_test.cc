@@ -17,12 +17,18 @@
 // executable form of the kernel bit-identity contract. A fourth pass
 // re-runs the columnar selection after CompactDictionaries (canonical
 // order-preserving re-encode) — same rows, now through the no-gather
-// raw-code fast path.
+// raw-code fast path. A fifth renders the DNF as SQL text
+// (`SELECT * FROM T WHERE …`, AND binding tighter than OR) and runs it
+// through the server's read path — lexer, parser, binder and
+// ExecuteReadOnly on a SnapshotAll map — which must return the
+// oracle's rows in table order.
 //
 // SQLNF_DIFF_ITERS (integer ≥ 1, default 1) multiplies the sweep; the
 // nightly differential job runs ≥ 1000 trees.
 
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +37,10 @@
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/simd_kernels.h"
 #include "sqlnf/core/table.h"
+#include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/sql.h"
 #include "sqlnf/util/rng.h"
 #include "test_util.h"
 
@@ -71,9 +79,16 @@ struct LevelSweepGuard {
 
 // ---------------------------------------------------------------- data
 
-// Mixed-kind instance: small-domain ints AND strings in every column
-// (so ordered comparisons cross the Int < Str kind boundary), ⊥
-// anywhere.
+// The string pool; one member carries a quote, which SQL text must
+// escape as ''.
+Value RandomString(Rng* rng) {
+  static const char* const kStrings[] = {"a", "b", "it's", "d", "e"};
+  return Value::Str(kStrings[rng->Uniform(0, 4)]);
+}
+
+// Mixed-kind instance: small-domain ints (one of them negative) AND
+// strings in every column (so ordered comparisons cross the Int < Str
+// kind boundary), ⊥ anywhere.
 Table RandomMixedInstance(Rng* rng, const TableSchema& schema, int rows,
                           int domain) {
   Table table(schema);
@@ -84,10 +99,9 @@ Table RandomMixedInstance(Rng* rng, const TableSchema& schema, int rows,
       if (roll < 0.2) {
         values.push_back(Value::Null());
       } else if (roll < 0.6) {
-        values.push_back(Value::Int(rng->Uniform(0, domain - 1)));
+        values.push_back(Value::Int(rng->Uniform(-1, domain - 2)));
       } else {
-        values.push_back(Value::Str(
-            std::string(1, static_cast<char>('a' + rng->Uniform(0, 4)))));
+        values.push_back(RandomString(rng));
       }
     }
     auto st = table.AddRow(Tuple(std::move(values)));
@@ -101,11 +115,11 @@ Table RandomMixedInstance(Rng* rng, const TableSchema& schema, int rows,
 Value RandomOperand(Rng* rng, int domain) {
   const double roll = rng->NextDouble();
   if (roll < 0.15) return Value::Null();
-  if (roll < 0.30) return Value::Int(rng->Uniform(100, 105));  // absent
+  if (roll < 0.25) return Value::Int(rng->Uniform(100, 105));  // absent
+  if (roll < 0.30) return Value::Int(rng->Uniform(-9, -5));    // absent
   if (roll < 0.40) return Value::Str("zzz");                   // absent
-  if (roll < 0.75) return Value::Int(rng->Uniform(0, domain - 1));
-  return Value::Str(
-      std::string(1, static_cast<char>('a' + rng->Uniform(0, 4))));
+  if (roll < 0.75) return Value::Int(rng->Uniform(-1, domain - 2));
+  return RandomString(rng);
 }
 
 PredicateAtom RandomAtom(Rng* rng, int num_columns, int domain) {
@@ -221,6 +235,100 @@ Predicate ToDnf(const Node& node) {
   return Predicate{};
 }
 
+// ------------------------------------------------------------ SQL text
+
+std::vector<int> RowMajorSelect(const Table& table, const Predicate& dnf) {
+  std::vector<int> out;
+  for (int i = 0; i < table.num_rows(); ++i) {
+    if (MatchesPredicate(table.row(i), dnf)) out.push_back(i);
+  }
+  return out;
+}
+
+
+// One literal as SQL text: NULL, a (possibly negative) integer, or a
+// quoted string with every ' doubled.
+std::string SqlLiteral(const Value& v) {
+  if (v.is_null()) return "NULL";
+  if (v.kind() == Value::Kind::kInt) return std::to_string(v.int_value());
+  std::string out = "'";
+  for (const char c : v.str_value()) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  return out + "'";
+}
+
+std::string SqlAtom(const TableSchema& schema, const PredicateAtom& atom) {
+  static const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  std::string out = schema.attribute_name(atom.column);
+  switch (atom.op) {
+    case CompareOp::kBetween:
+      return out + " BETWEEN " + SqlLiteral(atom.value) + " AND " +
+             SqlLiteral(atom.upper);
+    case CompareOp::kIn: {
+      out += " IN (";
+      for (size_t i = 0; i < atom.list.size(); ++i) {
+        out += (i > 0 ? ", " : "") + SqlLiteral(atom.list[i]);
+      }
+      return out + ")";
+    }
+    default:
+      return out + " " + kOps[static_cast<int>(atom.op)] + " " +
+             SqlLiteral(atom.value);
+  }
+}
+
+// `SELECT * FROM T WHERE …` for a DNF: the grammar's AND binds tighter
+// than OR, so the disjuncts need no parentheses. The grammar has no
+// empty IN, so a conjunction holding one — it matches nothing — is
+// dropped; nullopt when nothing is left to render.
+std::optional<std::string> SelectSql(const TableSchema& schema,
+                                     const Predicate& dnf) {
+  std::vector<std::string> disjuncts;
+  for (const Conjunction& conj : dnf.disjuncts) {
+    std::string text;
+    bool satisfiable = true;
+    for (const PredicateAtom& atom : conj) {
+      if (atom.op == CompareOp::kIn && atom.list.empty()) {
+        satisfiable = false;
+        break;
+      }
+      text += (text.empty() ? "" : " AND ") + SqlAtom(schema, atom);
+    }
+    if (satisfiable) disjuncts.push_back(std::move(text));
+  }
+  if (disjuncts.empty()) return std::nullopt;
+  std::string sql = "SELECT * FROM " + schema.name() + " WHERE ";
+  for (size_t i = 0; i < disjuncts.size(); ++i) {
+    sql += (i > 0 ? " OR " : "") + disjuncts[i];
+  }
+  return sql + ";";
+}
+
+// The DNF as SQL through ExecuteReadOnly on a committed snapshot of a
+// Database holding `table`; the returned rows must be the oracle's
+// `expected` rows, in table order.
+void CheckSqlPath(const Table& table, const Predicate& dnf,
+                  const std::vector<int>& expected,
+                  const std::string& label) {
+  const std::optional<std::string> sql = SelectSql(table.schema(), dnf);
+  if (!sql) return;
+  Database db;
+  {
+    WriterScope writer;
+    ASSERT_OK(db.IngestTable(table, ConstraintSet{})) << label;
+  }
+  Result<QueryResult> got = ExecuteReadOnly(db.SnapshotAll(), *sql);
+  ASSERT_OK(got.status()) << label << "\n" << *sql;
+  ASSERT_EQ(got->rows->num_rows(), static_cast<int>(expected.size()))
+      << label << "\n" << *sql;
+  for (size_t k = 0; k < expected.size(); ++k) {
+    ASSERT_EQ(got->rows->row(static_cast<int>(k)), table.row(expected[k]))
+        << label << " result row " << k << "\n" << *sql;
+  }
+}
+
 // ------------------------------------------------------------ the fuzz
 
 // One random (table, tree) case checked end to end across all paths
@@ -269,6 +377,7 @@ void CheckCase(Rng* rng, int case_id) {
         << "case " << case_id << " after compaction, level "
         << simd::LevelName(level);
   }
+  CheckSqlPath(table, dnf, expected, "case " + std::to_string(case_id));
 }
 
 TEST(PredicateFuzz, TreesMatchOracleAtEveryThreadCount) {
@@ -329,15 +438,40 @@ TEST(PredicateFuzz, DirectedEdgeCases) {
             (std::vector<int>{0, 1, 2}));
 }
 
-// ------------------------------------------- block/vector tail directed
-
-std::vector<int> RowMajorSelect(const Table& table, const Predicate& dnf) {
-  std::vector<int> out;
-  for (int i = 0; i < table.num_rows(); ++i) {
-    if (MatchesPredicate(table.row(i), dnf)) out.push_back(i);
+// The SQL path at the int64 bounds: the lexer's '-' and digits, the
+// literal's range check, and the binder's compare must meet exactly.
+TEST(PredicateFuzz, SqlLiteralsAtTheInt64Bounds) {
+  constexpr int64_t kMax = INT64_MAX;
+  constexpr int64_t kMin = INT64_MIN;
+  const TableSchema schema = Schema("ab");
+  Table table(schema);
+  for (const int64_t v : {kMax, kMin, int64_t{0}, kMax - 1, kMin + 1}) {
+    ASSERT_OK(table.AddRow(Tuple({Value::Int(v), Value::Str("it's")})));
   }
-  return out;
+  ASSERT_OK(table.AddRow(Tuple({Value::Null(), Value::Null()})));
+  const Value max = Value::Int(kMax);
+  const Value min = Value::Int(kMin);
+  const Predicate preds[] = {
+      Predicate::And({Cmp(0, CompareOp::kEq, max)}),
+      Predicate::And({Cmp(0, CompareOp::kEq, min)}),
+      Predicate::And({Cmp(0, CompareOp::kGt, max)}),
+      Predicate::And({Cmp(0, CompareOp::kLt, min)}),
+      Predicate::And({Cmp(0, CompareOp::kGe, min)}),
+      Predicate::And({Cmp(0, CompareOp::kNe, max)}),
+      Predicate::And({Between(0, min, max)}),
+      Predicate::And({Between(0, max, min)}),
+      Predicate::And({In(0, {min, max, Value::Null()})}),
+      Predicate::And({Cmp(0, CompareOp::kLe, Value::Int(kMin + 1)),
+                      Cmp(1, CompareOp::kEq, Value::Str("it's"))}),
+  };
+  for (size_t p = 0; p < std::size(preds); ++p) {
+    CheckSqlPath(table, preds[p], RowMajorSelect(table, preds[p]),
+                 "int64 bound pred " + std::to_string(p));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
+
+// ------------------------------------------- block/vector tail directed
 
 // Runs one (table, predicate) pair through every dispatch level at a
 // serial and a parallel thread count and demands oracle agreement.

@@ -130,6 +130,40 @@ TEST(ServerTest, ErrorsAreMachineReadable) {
             0);
 }
 
+// A literal outside int64 is a ParseError at the literal, and the
+// server keeps serving: the parser never throws out of a request.
+TEST(ServerTest, OutOfRangeLiteralIsAParseError) {
+  TestServer ts;
+  ASSERT_OK_AND_ASSIGN(HttpConnection conn,
+                       HttpConnection::Open(ts.server.port()));
+  ASSERT_OK_AND_ASSIGN(
+      HttpClientResponse r,
+      conn.Post("/query", R"({"sql":"CREATE TABLE t (a INTEGER);"})"));
+  EXPECT_EQ(r.status, 200);
+
+  for (const char* sql :
+       {"SELECT * FROM t WHERE a = 99999999999999999999;",
+        "INSERT INTO t VALUES (-9223372036854775809);"}) {
+    ASSERT_OK_AND_ASSIGN(
+        r, conn.Post("/query", std::string(R"({"sql":")") + sql + R"("})"));
+    EXPECT_EQ(r.status, 400) << sql;
+    ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(r.body));
+    const JsonValue* error = v.Find("error");
+    ASSERT_NE(error, nullptr) << r.body;
+    EXPECT_EQ(error->Find("code")->str_value(), "ParseError");
+    EXPECT_EQ(error->Find("byte_offset")->int_value(),
+              std::string(sql).find_first_of("-9")) << sql;
+  }
+
+  ASSERT_OK_AND_ASSIGN(HttpConnection fresh,
+                       HttpConnection::Open(ts.server.port()));
+  ASSERT_OK_AND_ASSIGN(r, fresh.Get("/health"));
+  EXPECT_EQ(r.status, 200);
+  ASSERT_OK_AND_ASSIGN(
+      r, conn.Post("/query", R"({"sql":"SELECT * FROM t;"})"));
+  EXPECT_EQ(r.status, 200);
+}
+
 TEST(ServerTest, OversizedBodyRejectedWith413) {
   HttpServerOptions options;
   options.limits.max_body_bytes = 256;

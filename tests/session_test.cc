@@ -1,9 +1,11 @@
 // engine/session.h: script routing (lock-free snapshot reads vs
-// serialized writes), structured error details with script positions,
-// the server-session transaction barrier, the shared constraint-set
-// cache, and — under the `concurrency` ctest label — N reader sessions
-// racing a committing/aborting writer while observing only committed
-// prefixes, bit-identical to the serial oracle.
+// serialized writes, and reads that ignore another session's open
+// transaction), structured error details with script positions, the
+// server-session transaction barrier, the shared constraint-set cache,
+// and — under the `concurrency` ctest label — N reader sessions racing
+// a committing/aborting writer while observing only committed prefixes,
+// bit-identical to the serial oracle, and readers racing multi-row
+// INSERTs that never see part of one.
 
 #include <atomic>
 #include <map>
@@ -132,6 +134,40 @@ TEST(SessionTest, ShellSessionMayKeepTransactionsOpen) {
   ResultSet after = shell.Execute("SELECT * FROM t;");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.statements[0].affected, 0);
+}
+
+// Only a session that may keep a transaction open owns one across
+// scripts, so any other session's read-only script reads the committed
+// snapshots while the shell's transaction is open: it neither sees the
+// uncommitted row nor rolls the transaction back.
+TEST(SessionTest, ReadOnlyScriptIgnoresAnotherSessionsTransaction) {
+  Database db;
+  SessionRegistry registry(&db);
+  SessionOptions shell_options;
+  shell_options.allow_open_transaction = true;
+  Session shell(&registry, shell_options);
+  Session server(&registry);
+  ASSERT_TRUE(shell
+                  .Execute("CREATE TABLE t (a TEXT);"
+                           "INSERT INTO t VALUES ('committed');")
+                  .ok());
+  ASSERT_TRUE(
+      shell.Execute("BEGIN; INSERT INTO t VALUES ('pending');").ok());
+
+  ResultSet rs = server.Execute("SELECT * FROM t;");
+  ASSERT_TRUE(rs.ok()) << rs.error.ToString();
+  ASSERT_EQ(rs.statements[0].rows->num_rows(), 1);
+  EXPECT_EQ(rs.statements[0].rows->row(0)[0], Value::Str("committed"));
+  EXPECT_TRUE(db.InTransaction());
+
+  // The shell still reads its own uncommitted row, and commits it.
+  ResultSet mine = shell.Execute("SELECT * FROM t;");
+  ASSERT_TRUE(mine.ok()) << mine.error.ToString();
+  EXPECT_EQ(mine.statements[0].rows->num_rows(), 2);
+  ASSERT_TRUE(shell.Execute("COMMIT;").ok());
+  ResultSet after = server.Execute("SELECT * FROM t;");
+  ASSERT_TRUE(after.ok()) << after.error.ToString();
+  EXPECT_EQ(after.statements[0].rows->num_rows(), 2);
 }
 
 TEST(SessionTest, ConstraintCacheServesRepeatsAndKeysOnSchema) {
@@ -286,6 +322,61 @@ TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
   ASSERT_TRUE(final_rows.ok());
   EXPECT_EQ(final_rows.statements[0].rows->ToString(),
             oracle[3 * kBatches]);
+}
+
+// A multi-row INSERT is one statement to readers: it holds the
+// catalog lock from its first row to its last, so a reader racing
+// auto-commit INSERTs of 10 rows each only ever counts a multiple of 10.
+TEST(SessionTest, ReadersNeverSeePartOfAnInsert) {
+  Database db;
+  SessionRegistry registry(&db);
+  {
+    Session setup(&registry);
+    ASSERT_TRUE(setup.Execute("CREATE TABLE t (a TEXT, b TEXT);").ok());
+  }
+  constexpr int kStatements = 150;
+  constexpr int kRowsPerStatement = 10;
+
+  std::atomic<bool> done{false};
+  std::atomic<int> partial{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> pool;
+  for (int r = 0; r < 3; ++r) {
+    pool.emplace_back([&] {
+      Session session(&registry);
+      while (!done.load(std::memory_order_relaxed)) {
+        ResultSet rs = session.Execute("SELECT a FROM t;");
+        if (!rs.ok() ||
+            rs.statements[0].rows->num_rows() % kRowsPerStatement != 0) {
+          ++partial;
+        }
+        ++reads;
+      }
+    });
+  }
+  {
+    Session writer(&registry);
+    for (int k = 0; k < kStatements; ++k) {
+      std::string script = "INSERT INTO t VALUES ";
+      for (int i = 0; i < kRowsPerStatement; ++i) {
+        if (i > 0) script += ", ";
+        script += "('" + std::to_string(k * kRowsPerStatement + i) +
+                  "', 'payload')";
+      }
+      ResultSet rs = writer.Execute(script + ";");
+      ASSERT_TRUE(rs.ok()) << rs.error.ToString();
+    }
+  }
+  while (reads.load() == 0) std::this_thread::yield();
+  done = true;
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(partial.load(), 0);
+
+  Session check(&registry);
+  ResultSet all = check.Execute("SELECT a FROM t;");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all.statements[0].rows->num_rows(),
+            kStatements * kRowsPerStatement);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
+#include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/txn.h"
 #include "test_util.h"
 
@@ -108,31 +111,27 @@ TEST(SnapshotTest, SnapshotAdvancesOnlyAtCommitPoints) {
   EXPECT_TRUE(s4.columns->BitIdentical(*s3.columns));
 }
 
-TEST(SnapshotTest, SelectFromSnapshotMatchesMaterialized) {
+TEST(SnapshotTest, ReadOnlySqlServesTheSnapshotMap) {
   WriterScope writer;
   Database db;
   TableSchema schema = Schema("abc", "a");
   ASSERT_OK(db.IngestTable(
       Rows(schema, {"1xp", "2yp", "3x_", "4xq"}), ConstraintSet()));
-  ASSERT_OK_AND_ASSIGN(TableSnapshot snap, db.GetSnapshot("T"));
+  const std::map<std::string, TableSnapshot> snaps = db.SnapshotAll();
+  // Rows a read-only statement returns from the map; -1 on error.
+  auto rows = [&](const char* sql) {
+    Result<QueryResult> r = ExecuteReadOnly(snaps, sql);
+    return r.ok() ? r->rows->num_rows() : -1;
+  };
 
-  ASSERT_OK_AND_ASSIGN(
-      Table hits,
-      SelectFromSnapshot(snap, WhereEq(1, Value::Str("x"))));
-  EXPECT_EQ(hits.num_rows(), 3);
-  ASSERT_OK_AND_ASSIGN(
-      Table nulls, SelectFromSnapshot(snap, WhereEq(2, Value::Null())));
-  EXPECT_EQ(nulls.num_rows(), 1);  // marker equality: ⊥ matches ⊥
-  EXPECT_FALSE(
-      SelectFromSnapshot(snap, WhereEq(7, Value::Str("x"))).ok());
+  EXPECT_EQ(rows("SELECT * FROM T WHERE b = 'x';"), 3);
+  EXPECT_EQ(rows("SELECT a FROM T WHERE c = NULL;"), 1);  // ⊥ matches ⊥
+  EXPECT_EQ(rows("SELECT * FROM T WHERE z = 'x';"), -1);
 
-  // The snapshot keeps serving after the table is dropped — columns
+  // The snapshots keep serving after the table is dropped — columns
   // are refcounted, not epoch-swept.
   ASSERT_OK(db.DropTable("T"));
-  ASSERT_OK_AND_ASSIGN(
-      Table after_drop,
-      SelectFromSnapshot(snap, WhereEq(1, Value::Str("x"))));
-  EXPECT_EQ(after_drop.num_rows(), 3);
+  EXPECT_EQ(rows("SELECT * FROM T WHERE b = 'x';"), 3);
 }
 
 // Many readers against one writer. The writer commits batches of
@@ -196,8 +195,8 @@ TEST(SnapshotTest, ConcurrentReadersSeeCommittedPrefixesOnly) {
         // Exercise the read path end to end as well.
         if (s.num_rows() > 0) {
           const auto [a, b] = cell(s.num_rows() - 1);
-          auto hit = SelectFromSnapshot(s, WhereEq(0, Value::Str(a)));
-          if (!hit.ok() || hit->num_rows() != 1) {
+          if (SelectRowsEncoded(*s.columns, WhereEq(0, Value::Str(a)))
+                  .size() != 1) {
             ++failures;
             return;
           }
@@ -278,45 +277,9 @@ TEST(SnapshotTest, StrongConstraintIndexFansOutOnNullableKey) {
                   .has_value());
 }
 
-// Satellite: Database::Select gathers the selection vector columnar
-// (GatherRows) and decodes once at the boundary; result must be the
-// same multiset of rows the per-row decode reference produces.
-TEST(SnapshotTest, SelectMatchesPerRowDecodeReference) {
-  WriterScope writer;
-  Rng rng(77);
-  for (int trial = 0; trial < 6; ++trial) {
-    const int n = 2 + static_cast<int>(rng.Uniform(0, 2));
-    const TableSchema schema = testing::RandomSchema(&rng, n);
-    const Table data = testing::RandomInstance(&rng, schema, 40);
-    Database db;
-    ASSERT_OK(db.IngestTable(data, ConstraintSet()));
-    ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
-
-    const AttributeId col = static_cast<AttributeId>(rng.Index(n));
-    const Predicate where = WhereEq(
-        col, rng.Chance(0.3) ? Value::Null() : Value::Int(rng.Uniform(0, 2)));
-    ASSERT_OK_AND_ASSIGN(Table got, db.Select("T", where));
-
-    // Reference: per-row decode + row-major condition check, in order.
-    Table want(schema);
-    for (int i = 0; i < stored->num_rows(); ++i) {
-      const Tuple t = stored->DecodeRow(i);
-      if (MatchesPredicate(t, where)) {
-        ASSERT_OK(want.AddRow(t));
-      }
-    }
-    ASSERT_EQ(got.num_rows(), want.num_rows()) << "trial=" << trial;
-    const AttributeSet all = AttributeSet::FullSet(n);
-    for (int i = 0; i < got.num_rows(); ++i) {
-      EXPECT_TRUE(testing::OracleEqualOn(got.row(i), want.row(i), all))
-          << "trial=" << trial << " row=" << i;
-    }
-  }
-}
-
 // Range-scan readers race a committing writer — and a periodic VACUUM
 // that renumbers every dictionary code. Each reader grabs a snapshot,
-// runs SelectFromSnapshot with a range/IN/OR predicate tree, and
+// selects on its columns with a range/IN/OR predicate tree, and
 // checks the selection against a per-row decode of the SAME snapshot:
 // whatever version the reader caught, the compiled columnar scan and
 // the row-major oracle must agree, and published snapshots must stay
@@ -364,11 +327,9 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
         }
         const TableSnapshot& s = *snap;
         const Predicate& pred = preds[turn++ % preds.size()];
-        auto got = SelectFromSnapshot(s, pred);
-        if (!got.ok()) {
-          ++failures;
-          return;
-        }
+        const Table got =
+            s.columns->GatherRows(SelectRowsEncoded(*s.columns, pred))
+                .Decode(s.schema);
         // Row-major oracle over the same immutable snapshot.
         int want = 0;
         bool rows_match = true;
@@ -382,8 +343,8 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
           }
           const Tuple t(std::move(cells));
           if (MatchesPredicate(t, pred)) {
-            if (want >= got->num_rows() ||
-                !testing::OracleEqualOn(got->row(want), t,
+            if (want >= got.num_rows() ||
+                !testing::OracleEqualOn(got.row(want), t,
                                         AttributeSet::FullSet(2))) {
               rows_match = false;
               break;
@@ -391,7 +352,7 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
             ++want;
           }
         }
-        if (!rows_match || want != got->num_rows()) {
+        if (!rows_match || want != got.num_rows()) {
           ++failures;
           return;
         }

@@ -3,6 +3,11 @@
 
 #include "sqlnf/engine/sql.h"
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sqlnf/engine/session.h"
@@ -207,6 +212,42 @@ TEST_F(SqlTest, IntegerLiterals) {
   QueryResult rows = Must("SELECT * FROM t WHERE n = 42;");
   EXPECT_EQ(rows.rows->num_rows(), 1);
   EXPECT_EQ(rows.rows->row(0)[1], Value::Int(-7));
+}
+
+TEST_F(SqlTest, IntegerLiteralsAtTheInt64Bounds) {
+  Must("CREATE TABLE t (n INTEGER);");
+  Must("INSERT INTO t VALUES (9223372036854775807), "
+       "(-9223372036854775808);");
+  EXPECT_EQ(Must("SELECT * FROM t WHERE n = 9223372036854775807;")
+                .rows->row(0)[0],
+            Value::Int(INT64_MAX));
+  EXPECT_EQ(Must("SELECT * FROM t WHERE n = -9223372036854775808;")
+                .rows->row(0)[0],
+            Value::Int(INT64_MIN));
+
+  // One past either bound is a ParseError at the literal, in every
+  // statement that takes one — never an exception out of the parser.
+  const std::string over = "9223372036854775808";
+  const std::string under = "-9223372036854775809";
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"SELECT * FROM t WHERE n = ", ";"},
+      {"SELECT * FROM t WHERE n BETWEEN 1 AND ", ";"},
+      {"UPDATE t SET n = 1 WHERE n IN (1, ", ");"},
+      {"DELETE FROM t WHERE n < ", ";"},
+      {"INSERT INTO t VALUES (1), (", ");"}};
+  for (const auto& [prefix, suffix] : shapes) {
+    for (const std::string& literal : {over, under}) {
+      const std::string statement = prefix + literal + suffix;
+      WriterScope writer;
+      int offset = -2;
+      auto result = sql_.Execute(statement, &offset);
+      ASSERT_FALSE(result.ok()) << statement;
+      EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+          << statement;
+      EXPECT_EQ(offset, static_cast<int>(prefix.size())) << statement;
+    }
+  }
+  EXPECT_EQ(Must("SELECT * FROM t;").rows->num_rows(), 2);
 }
 
 TEST_F(SqlTest, RangePredicates) {

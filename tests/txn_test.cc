@@ -19,6 +19,7 @@
 #include "sqlnf/engine/relops.h"
 #include "sqlnf/engine/session.h"
 #include "sqlnf/engine/sql.h"
+#include "sqlnf/reference/validate.h"
 #include "test_util.h"
 
 namespace sqlnf {
@@ -237,6 +238,75 @@ TEST(TxnTest, RejectedStatementInsideTransactionRollsBackOnlyItself) {
   EXPECT_OK(stored->enforcer().CheckInvariants());
 }
 
+// A multi-row INSERT is one statement: a rejected row, an unparsable
+// row, or trailing garbage after the last row leaves the table — rows,
+// constraint indexes and dictionaries — bit-identical, with no row of
+// the statement behind.
+TEST(TxnTest, MultiRowInsertIsAllOrNothing) {
+  WriterScope writer;
+  Database db;
+  SqlSession sql(&db);
+  ASSERT_OK(
+      sql.Execute("CREATE TABLE t (a TEXT, b TEXT, CERTAIN KEY (a));")
+          .status());
+  ASSERT_OK(sql.Execute("INSERT INTO t VALUES ('0', 'w');").status());
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("t"));
+  const TableState before(*stored);
+
+  const auto rejected =
+      sql.Execute("INSERT INTO t VALUES ('1','x'),('2','y'),('1','z');");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "INSERT rejected: rows 1 and 3 violate c<{a}>");
+  before.ExpectRestored(*stored);
+
+  int offset = -1;
+  const auto unparsable =
+      sql.Execute("INSERT INTO t VALUES ('7','x'),('8', oops);", &offset);
+  ASSERT_FALSE(unparsable.ok());
+  EXPECT_EQ(unparsable.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(offset, 37);  // `oops`
+  before.ExpectRestored(*stored);
+
+  const auto trailing =
+      sql.Execute("INSERT INTO t VALUES ('9','x') garbage;");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_NE(trailing.status().message().find("trailing input"),
+            std::string::npos);
+  before.ExpectRestored(*stored);
+
+  ASSERT_OK(sql.Execute("INSERT INTO t VALUES ('1','x'),('2','y');")
+                .status());
+  EXPECT_EQ(stored->num_rows(), 3);
+  EXPECT_OK(stored->enforcer().CheckInvariants());
+}
+
+// Inside a transaction a rejected multi-row INSERT removes only its own
+// rows; the transaction's earlier statements stay, and a rollback
+// still restores the pre-BEGIN state.
+TEST(TxnTest, RejectedInsertInsideTransactionRollsBackOnlyItself) {
+  WriterScope writer;
+  Database db;
+  SqlSession sql(&db);
+  ASSERT_OK(
+      sql.Execute("CREATE TABLE t (a TEXT, b TEXT, CERTAIN KEY (a));")
+          .status());
+  ASSERT_OK(sql.Execute("INSERT INTO t VALUES ('0', 'w');").status());
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("t"));
+  const TableState before_begin(*stored);
+
+  ASSERT_OK(sql.Execute("BEGIN;").status());
+  ASSERT_OK(sql.Execute("INSERT INTO t VALUES ('1', 'x');").status());
+  const TableState mid(*stored);
+  EXPECT_FALSE(
+      sql.Execute("INSERT INTO t VALUES ('2','new'),('0','dup');").ok());
+  EXPECT_TRUE(db.InTransaction());
+  mid.ExpectRestored(*stored);
+
+  ASSERT_OK(sql.Execute("ROLLBACK;").status());
+  before_begin.ExpectRestored(*stored);
+}
+
 TEST(TxnTest, TransactionGuardRollsBackOnScopeExit) {
   WriterScope writer;
   Database db;
@@ -346,9 +416,17 @@ struct Reference {
     return true;
   }
 
-  bool ApplyInsert(const Tuple& row) {
-    if (ValidateRowAgainst(table, row, sigma).has_value()) return false;
-    EXPECT_OK(table.AddRow(row));
+  // A statement's rows go in one by one, each checked against the
+  // table and the rows before it; the first rejection discards all.
+  bool ApplyInsert(const std::vector<Tuple>& rows) {
+    Table candidate = table;
+    for (const Tuple& row : rows) {
+      if (ValidateRowAgainst(candidate, row, sigma).has_value()) {
+        return false;
+      }
+      EXPECT_OK(candidate.AddRow(row));
+    }
+    table = std::move(candidate);
     return true;
   }
 
@@ -402,6 +480,7 @@ TEST(TxnTest, DifferentialMutationSequences) {
     const ConstraintSet sigma = RandomSigma(&rng, n, 1, 1);
     Reference ref{schema, sigma, Table(schema)};
     Database db;
+    SqlSession session(&db);
     ASSERT_OK(db.CreateTable(ref.schema, ref.sigma));
     ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
 
@@ -442,13 +521,27 @@ TEST(TxnTest, DifferentialMutationSequences) {
         txn_backup.reset();
         txn_capture.reset();
       } else if (roll < 0.6) {
-        std::vector<Value> values;
-        for (int c = 0; c < n; ++c) values.push_back(random_value());
-        const Tuple row{values};
-        const bool engine_ok = db.Insert("T", row).ok();
-        const bool oracle_ok = ref.ApplyInsert(row);
+        // One row through the API, or 2–4 rows as one SQL statement.
+        const int count =
+            rng.Chance(0.7) ? 1 : 2 + static_cast<int>(rng.Uniform(0, 2));
+        std::vector<Tuple> rows;
+        std::string sql = "INSERT INTO T VALUES ";
+        for (int r = 0; r < count; ++r) {
+          std::vector<Value> values;
+          sql += r > 0 ? ", (" : "(";
+          for (int c = 0; c < n; ++c) {
+            values.push_back(random_value());
+            sql += (c > 0 ? ", " : "") + values.back().ToString();
+          }
+          sql += ")";
+          rows.emplace_back(std::move(values));
+        }
+        const bool engine_ok = count == 1
+                                   ? db.Insert("T", rows[0]).ok()
+                                   : session.Execute(sql + ";").ok();
+        const bool oracle_ok = ref.ApplyInsert(rows);
         ASSERT_EQ(engine_ok, oracle_ok)
-            << "trial=" << trial << " step=" << step << " INSERT";
+            << "trial=" << trial << " step=" << step << " " << sql;
       } else if (roll < 0.82) {
         const Predicate where = random_where();
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));

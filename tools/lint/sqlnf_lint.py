@@ -53,6 +53,21 @@ preference:
                         engine code would bypass all three and punch an
                         unaudited I/O path through the library.
 
+  reference-confinement The oracles and paper reproductions
+                        (src/sqlnf/reference/, src/sqlnf/related/) make
+                        up the sqlnf_reference library, which tests and
+                        benches link and no serving binary does. A
+                        serving source, tool, example or frontbench file
+                        that includes one of their headers would pull a
+                        row-major transcription back onto the serving
+                        path (and fail to link).
+
+  throwing-parse        No std::stoi/stol/stoll/stoul/stoull/stof/stod
+                        in src/: they throw on malformed or out-of-range
+                        text, and an exception from wire text kills the
+                        server. Text boundaries answer with a Status
+                        (std::from_chars reports the error in-band).
+
 Usage: sqlnf_lint.py [--root DIR]
 Exits 0 when clean, 1 with findings on stdout, 2 on usage errors.
 """
@@ -387,6 +402,60 @@ def check_simd_confinement(root: Path) -> list[Finding]:
     return findings
 
 
+# --- Rule: reference-confinement -----------------------------------------
+
+# The sources of the sqlnf_reference library (src/CMakeLists.txt).
+REFERENCE_PREFIXES = ("src/sqlnf/reference/", "src/sqlnf/related/")
+# Trees that build without sqlnf_reference.
+SERVING_TREES = ("src", "tools", "examples", "frontbench")
+
+_INCLUDE_RE = re.compile(r"\s*#\s*include\b")
+_REFERENCE_HEADER_RE = re.compile(r'"sqlnf/(?:reference|related)/[^"]*"')
+
+
+def check_reference_confinement(root: Path) -> list[Finding]:
+    findings = []
+    for subdir in SERVING_TREES:
+        for path in iter_cxx_files(root, subdir):
+            rel = path.relative_to(root).as_posix()
+            if rel.startswith(REFERENCE_PREFIXES) or "/testdata/" in rel:
+                continue
+            for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+                # The header name is a string literal, so match it on the
+                # raw line, but only where the stripped line is a live
+                # #include (not a comment).
+                if (_INCLUDE_RE.match(_strip_comments_and_strings(raw))
+                        and _REFERENCE_HEADER_RE.search(raw)):
+                    findings.append(Finding(
+                        rel, lineno, "reference-confinement",
+                        "oracle header included outside the reference "
+                        "library — only tests/ and bench/ link "
+                        "sqlnf_reference (sanctioned: "
+                        f"{', '.join(REFERENCE_PREFIXES)})"))
+    return findings
+
+
+# --- Rule: throwing-parse -------------------------------------------------
+
+# Free calls only: `x.stod(` or `p->stol(` are someone else's members.
+_THROWING_PARSE_RE = re.compile(
+    r"(?<![\w.>])(?:std::)?sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
+
+
+def check_throwing_parse(root: Path) -> list[Finding]:
+    findings = []
+    for path in iter_cxx_files(root, "src"):
+        rel = path.relative_to(root).as_posix()
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            line = _strip_comments_and_strings(raw)
+            if _THROWING_PARSE_RE.search(line):
+                findings.append(Finding(
+                    rel, lineno, "throwing-parse",
+                    "std::sto* throws on malformed or out-of-range text — "
+                    "answer with a Status instead (std::from_chars)"))
+    return findings
+
+
 ALL_CHECKS = [
     check_ordered_code_compare,
     check_nondeterminism,
@@ -395,6 +464,8 @@ ALL_CHECKS = [
     check_test_registration,
     check_raw_mutex,
     check_raw_socket,
+    check_reference_confinement,
+    check_throwing_parse,
 ]
 
 

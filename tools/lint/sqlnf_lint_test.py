@@ -155,6 +155,43 @@ class RawSocketTest(unittest.TestCase):
                          {f.path for f in self.findings})
 
 
+class ReferenceConfinementTest(unittest.TestCase):
+    def setUp(self):
+        self.findings = sqlnf_lint.check_reference_confinement(
+            TESTDATA / "reference_confinement")
+
+    def test_flags_oracle_includes_in_serving_trees(self):
+        # The serving source's live include and the tool's include.
+        self.assertEqual(
+            sorted((f.path, f.line) for f in self.findings),
+            [("src/sqlnf/engine/leaky.cc", 5), ("tools/cli.cc", 2)],
+            "\n".join(str(f) for f in self.findings))
+        self.assertTrue(all(f.rule == "reference-confinement"
+                            for f in self.findings))
+
+    def test_reference_sources_and_tests_are_sanctioned(self):
+        flagged = {f.path for f in self.findings}
+        self.assertNotIn("src/sqlnf/reference/relops.cc", flagged)
+        self.assertNotIn("src/sqlnf/related/alt_semantics.cc", flagged)
+        self.assertNotIn("tests/oracle_test.cc", flagged)
+
+
+class ThrowingParseTest(unittest.TestCase):
+    def test_flags_free_sto_calls_only(self):
+        findings = sqlnf_lint.check_throwing_parse(
+            TESTDATA / "throwing_parse")
+        self.assertEqual(
+            sorted((f.path, f.line) for f in findings),
+            [("src/sqlnf/engine/literal.cc", 8),
+             ("src/sqlnf/engine/literal.cc", 9)],
+            "\n".join(str(f) for f in findings))
+        self.assertTrue(all(f.rule == "throwing-parse" for f in findings))
+
+    def test_clean_tree_passes(self):
+        self.assertEqual(
+            sqlnf_lint.check_throwing_parse(TESTDATA / "clean"), [])
+
+
 class RealTreeTest(unittest.TestCase):
     """The shipped tree must be lint-clean — this is the CI gate."""
 
