@@ -42,7 +42,21 @@
 // interval-scan kernels to be ≥ 2× the forced-scalar kernels; on a
 // machine (or build) without AVX2 the gate SKIPS with a note — there
 // is nothing to measure, and the scalar-forced CI leg must still pass.
-// `bench_columnar --check` runs ONLY the E19 section (fast, for CI).
+//
+// E20 — a selective NATURAL JOIN through the SQL executor: Algorithm
+// 3's `version` (67k rows) and `remainder` (173k rows) components of
+// contractor × 1000, loaded into a Database as the front-door
+// benchmark loads them, queried with
+//   SELECT * FROM version NATURAL JOIN remainder
+//     WHERE new = k AND city = c
+// through ExecuteReadOnly, which filters each input before joining.
+// The comparison is the unfiltered composition it replaced:
+// EqualityJoinEncoded over the whole components, then
+// SelectRowsEncoded. The gate requires the decoded rows to match in
+// order and the SQL path to be ≥ 10× faster (medians of 9).
+//
+// `bench_columnar --check` runs ONLY the E19 and E20 sections (fast,
+// for CI).
 //
 // Timings are also emitted machine-readably to BENCH_columnar.json,
 // BENCH_rangescan.json, and BENCH_simd.json in the working directory:
@@ -53,6 +67,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -68,6 +83,7 @@
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/sql.h"
 #include "sqlnf/reference/relops.h"
 #include "sqlnf/util/fnv.h"
 #include "sqlnf/util/rng.h"
@@ -77,6 +93,14 @@ namespace sqlnf {
 namespace {
 
 constexpr int kScale = 1000;  // contractor × 1000 = 173,000 rows
+
+// The three λ-FDs of Section 7 on the crossed schema.
+constexpr char kLambdaFds[] =
+    "new,city,url ->w new,city,url,dmerc_rgn,status; "
+    "new,cmd_name,phone,url ->w "
+    "new,cmd_name,phone,url,contractor_version,status_flag; "
+    "new,address1,contractor_bus_name,contractor_type_id ->w "
+    "new,address1,contractor_bus_name,contractor_type_id,url";
 
 /// One timing record for BENCH_columnar.json.
 struct BenchRecord {
@@ -318,6 +342,117 @@ int RunSimdE19() {
   return ok ? 0 : 1;
 }
 
+// --- E20: the selective join, SQL executor vs join-then-select.
+int RunSelectiveJoinE20() {
+  using bench::TimeMs;
+  using bench::ValueOrDie;
+  constexpr int kRuns = 9;
+
+  const Table contractor = ValueOrDie(Contractor(), "contractor");
+  const Table big =
+      ValueOrDie(CrossWithSequence(contractor, kScale, "new"), "cross");
+  const ConstraintSet sigma =
+      ValueOrDie(ParseConstraintSet(big.schema(), kLambdaFds), "sigma");
+  const VrnfResult vrnf =
+      ValueOrDie(VrnfDecompose(SchemaDesign{big.schema(), sigma}), "vrnf");
+  const std::vector<Table> parts =
+      ValueOrDie(ProjectAll(big, vrnf.decomposition), "project");
+
+  // The components under the names the front-door benchmark gives them.
+  Database db;
+  {
+    WriterScope writer;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      const TableSchema& schema = parts[i].schema();
+      const bool multiset = vrnf.decomposition.components[i].multiset;
+      if (!multiset && !schema.FindAttribute("contractor_version").ok()) {
+        continue;
+      }
+      std::vector<std::string> names, not_null;
+      for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+        names.push_back(schema.attribute_name(a));
+        if (schema.nfs().Contains(a)) not_null.push_back(names.back());
+      }
+      Table renamed(ValueOrDie(
+          TableSchema::Make(multiset ? "remainder" : "version", names,
+                            not_null),
+          "rename"));
+      for (const Tuple& row : parts[i].rows()) {
+        bench::CheckOk(renamed.AddRow(row), "row");
+      }
+      bench::CheckOk(db.IngestTable(renamed, ConstraintSet{}), "ingest");
+    }
+  }
+  const std::map<std::string, TableSnapshot> snaps = db.SnapshotAll();
+  const TableSnapshot& version = snaps.at("version");
+  const TableSnapshot& remainder = snaps.at("remainder");
+
+  const int64_t k = 7;
+  const Value city = contractor.row(0)[ValueOrDie(
+      contractor.schema().FindAttribute("city"), "city")];
+  std::string city_sql = "'";
+  for (char ch : city.str_value()) {
+    city_sql += ch;
+    if (ch == '\'') city_sql += ch;
+  }
+  const std::string sql =
+      "SELECT * FROM version NATURAL JOIN remainder WHERE new = " +
+      std::to_string(k) + " AND city = " + city_sql + "'";
+
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::optional<QueryResult> sql_result;
+  std::vector<double> sql_ms;
+  for (int run = 0; run < kRuns; ++run) {
+    sql_ms.push_back(TimeMs([&] {
+      sql_result = ValueOrDie(ExecuteReadOnly(snaps, sql), "select");
+    }));
+  }
+  std::optional<Table> composed;
+  std::vector<double> composed_ms;
+  for (int run = 0; run < kRuns; ++run) {
+    composed_ms.push_back(TimeMs([&] {
+      const EncodedRelation joined = ValueOrDie(
+          EqualityJoinEncoded(version.schema, *version.columns,
+                              remainder.schema, *remainder.columns,
+                              "version_join"),
+          "join");
+      const Predicate where = Predicate::And(
+          {Cmp(ValueOrDie(joined.schema.FindAttribute("new"), "new"),
+               CompareOp::kEq, Value::Int(k)),
+           Cmp(ValueOrDie(joined.schema.FindAttribute("city"), "city"),
+               CompareOp::kEq, city)});
+      composed = joined.columns
+                     .GatherRows(SelectRowsEncoded(joined.columns, where))
+                     .Decode(joined.schema);
+    }));
+  }
+
+  const Table& got = *sql_result->rows;
+  bool same = got.num_rows() == composed->num_rows() && got.num_rows() > 0;
+  for (int i = 0; same && i < got.num_rows(); ++i) {
+    same = got.row(i) == composed->row(i);
+  }
+  const double sql_median = median(sql_ms);
+  const double composed_median = median(composed_ms);
+  const double speedup = composed_median / sql_median;
+  std::printf("\nE20 selective join: version (%d rows) NATURAL JOIN "
+              "remainder (%d rows), %d result rows, medians of %d\n",
+              version.num_rows(), remainder.num_rows(), got.num_rows(),
+              kRuns);
+  std::printf("  SQL executor (filter inputs, join)  %9.3f ms\n",
+              sql_median);
+  std::printf("  join everything, then select        %9.3f ms\n",
+              composed_median);
+  const bool ok = same && speedup >= 10.0;
+  std::printf("E20 shape check (identical rows in order, SQL path ≥10× "
+              "the unfiltered composition: %.1f×): %s\n",
+              speedup, ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
+}
+
 int Run() {
   using bench::TimeMs;
   using bench::ValueOrDie;
@@ -325,15 +460,8 @@ int Run() {
   Table contractor = ValueOrDie(Contractor(), "contractor");
   Table big = ValueOrDie(CrossWithSequence(contractor, kScale, "new"),
                          "cross");
-  ConstraintSet sigma = ValueOrDie(
-      ParseConstraintSet(
-          big.schema(),
-          "new,city,url ->w new,city,url,dmerc_rgn,status; "
-          "new,cmd_name,phone,url ->w "
-          "new,cmd_name,phone,url,contractor_version,status_flag; "
-          "new,address1,contractor_bus_name,contractor_type_id ->w "
-          "new,address1,contractor_bus_name,contractor_type_id,url"),
-      "sigma");
+  ConstraintSet sigma =
+      ValueOrDie(ParseConstraintSet(big.schema(), kLambdaFds), "sigma");
   SchemaDesign design{big.schema(), sigma};
   VrnfResult vrnf = ValueOrDie(VrnfDecompose(design), "vrnf");
   const Decomposition& d = vrnf.decomposition;
@@ -632,11 +760,13 @@ int Run() {
               "≥4x decode-per-row at 1%% selectivity, got %.1fx): %s\n",
               range_gate_speedup, range_ok ? "OK" : "FAILED");
 
-  // E19 runs last so its table lands next to the shape checks.
+  // E19 and E20 run last so their tables land next to the shape checks.
   const bool simd_ok = RunSimdE19() == 0;
+  const bool selective_join_ok = RunSelectiveJoinE20() == 0;
 
   bool ok = join_same && scan_same && update_same && lossless && range_ok &&
-            simd_ok && row_join_ms / enc_join_ms[0] >= 2.0;
+            simd_ok && selective_join_ok &&
+            row_join_ms / enc_join_ms[0] >= 2.0;
   // The parallel-speedup gate needs real cores; on a smaller machine it
   // is reported but not enforced.
   const unsigned hw = std::thread::hardware_concurrency();
@@ -660,10 +790,13 @@ int Run() {
 }  // namespace sqlnf
 
 int main(int argc, char** argv) {
-  // `--check` runs only the E19 kernel gate (fast; skips the perf bar
-  // without AVX2) — the scalar-forced CI leg uses it.
+  // `--check` runs only the E19 kernel gate (fast; skips its perf bar
+  // without AVX2) and the E20 selective-join gate — the scalar-forced
+  // CI leg uses it.
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) {
-    return sqlnf::RunSimdE19();
+    const int simd = sqlnf::RunSimdE19();
+    const int join = sqlnf::RunSelectiveJoinE20();
+    return simd != 0 || join != 0 ? 1 : 0;
   }
   return sqlnf::Run();
 }

@@ -25,7 +25,7 @@ EncodedTable::EncodedTable(const Table& table, const AttributeSet& columns)
     for (int row = 0; row < num_rows_; ++row) {
       c.codes[row] = EncodeUnordered(&c, table.row(row)[col]);
     }
-    RebuildOrder(&c);  // one O(d log d) sort beats d ordered insertions
+    RebuildOrder(c.dict.get());  // one O(d log d) sort beats d insertions
   }
 }
 
@@ -48,10 +48,22 @@ EncodedTable::Column& EncodedTable::Detach(AttributeId col) {
   return *p;
 }
 
+EncodedTable::Dictionary& EncodedTable::MutableDictionary(Column* col) {
+  // Same argument as Detach, one level down: every dictionary a reader
+  // can reach is referenced by a snapshot column (and by whatever the
+  // reader gathered or joined from it), so a count of 1 is never stale.
+  if (col->dict.use_count() > 1) {
+    col->dict = std::make_shared<Dictionary>(*col->dict);
+  }
+  return *col->dict;
+}
+
 uint32_t EncodedTable::Encode(Column* col, const Value& value) {
-  const size_t before = col->values.size();
+  const size_t before = col->dict->values.size();
   const uint32_t code = EncodeUnordered(col, value);
-  if (col->values.size() != before) InsertOrdered(col, code);
+  if (col->dict->values.size() != before) {
+    InsertOrdered(col->dict.get(), code);
+  }
   return code;
 }
 
@@ -60,83 +72,79 @@ uint32_t EncodedTable::EncodeUnordered(Column* col, const Value& value) {
     ++col->null_count;
     return kNullCode;
   }
-  auto [it, inserted] =
-      col->dict.emplace(value, static_cast<uint32_t>(col->values.size()));
-  if (inserted) col->values.push_back(value);
-  return it->second;
+  const auto it = col->dict->index.find(value);
+  if (it != col->dict->index.end()) return it->second;
+  Dictionary& d = MutableDictionary(col);
+  const uint32_t code = static_cast<uint32_t>(d.values.size());
+  d.index.emplace(value, code);
+  d.values.push_back(value);
+  return code;
 }
 
-void EncodedTable::InsertOrdered(Column* col, uint32_t code) {
-  const Value& v = col->values[code];
+void EncodedTable::InsertOrdered(Dictionary* dict, uint32_t code) {
+  const Value& v = dict->values[code];
   const auto it = std::lower_bound(
-      col->sorted.begin(), col->sorted.end(), v,
-      [col](uint32_t c, const Value& x) { return col->values[c] < x; });
-  const size_t at = static_cast<size_t>(it - col->sorted.begin());
-  col->sorted.insert(it, code);
+      dict->sorted.begin(), dict->sorted.end(), v,
+      [dict](uint32_t c, const Value& x) { return dict->values[c] < x; });
+  const size_t at = static_cast<size_t>(it - dict->sorted.begin());
+  dict->sorted.insert(it, code);
   // The rank array grows by one slot; the sentinel moves up to stay at
   // index values.size(), and every code displaced by the insertion
   // shifts one rank. Values arriving in ascending order (at == code)
   // touch only the new tail slot.
-  col->rank.push_back(kNoRank);
-  for (size_t r = at; r < col->sorted.size(); ++r) {
-    col->rank[col->sorted[r]] = static_cast<uint32_t>(r);
+  dict->rank.push_back(kNoRank);
+  for (size_t r = at; r < dict->sorted.size(); ++r) {
+    dict->rank[dict->sorted[r]] = static_cast<uint32_t>(r);
   }
-  col->rank[col->values.size()] = kNoRank;
-  col->ordered = col->ordered && at == code;
+  dict->rank[dict->values.size()] = kNoRank;
+  dict->ordered = dict->ordered && at == code;
 }
 
-void EncodedTable::RebuildOrder(Column* col) {
-  const size_t d = col->values.size();
-  col->sorted.resize(d);
-  std::iota(col->sorted.begin(), col->sorted.end(), 0u);
-  std::sort(col->sorted.begin(), col->sorted.end(),
-            [col](uint32_t a, uint32_t b) {
-              return col->values[a] < col->values[b];
+void EncodedTable::RebuildOrder(Dictionary* dict) {
+  const size_t d = dict->values.size();
+  dict->sorted.resize(d);
+  std::iota(dict->sorted.begin(), dict->sorted.end(), 0u);
+  std::sort(dict->sorted.begin(), dict->sorted.end(),
+            [dict](uint32_t a, uint32_t b) {
+              return dict->values[a] < dict->values[b];
             });
-  col->rank.assign(d + 1, kNoRank);
-  col->ordered = true;
+  dict->rank.assign(d + 1, kNoRank);
+  dict->ordered = true;
   for (size_t r = 0; r < d; ++r) {
-    col->rank[col->sorted[r]] = static_cast<uint32_t>(r);
-    col->ordered = col->ordered && col->sorted[r] == r;
+    dict->rank[dict->sorted[r]] = static_cast<uint32_t>(r);
+    dict->ordered = dict->ordered && dict->sorted[r] == r;
   }
-}
-
-void EncodedTable::CopyDictionary(const Column& src, Column* dst) {
-  dst->values = src.values;
-  dst->dict = src.dict;
-  dst->sorted = src.sorted;
-  dst->rank = src.rank;
-  dst->ordered = src.ordered;
 }
 
 uint32_t EncodedTable::LookupCode(AttributeId col, const Value& value) const {
   if (value.is_null()) return kNullCode;
-  const Column& c = *columns_[col];
-  auto it = c.dict.find(value);
-  return it == c.dict.end() ? kMissingCode : it->second;
+  const Dictionary& d = *columns_[col]->dict;
+  auto it = d.index.find(value);
+  return it == d.index.end() ? kMissingCode : it->second;
 }
 
 uint32_t EncodedTable::LowerBoundRank(AttributeId col, const Value& v) const {
-  const Column& c = *columns_[col];
+  const Dictionary& d = *columns_[col]->dict;
   const auto it = std::lower_bound(
-      c.sorted.begin(), c.sorted.end(), v,
-      [&c](uint32_t code, const Value& x) { return c.values[code] < x; });
-  return static_cast<uint32_t>(it - c.sorted.begin());
+      d.sorted.begin(), d.sorted.end(), v,
+      [&d](uint32_t code, const Value& x) { return d.values[code] < x; });
+  return static_cast<uint32_t>(it - d.sorted.begin());
 }
 
 uint32_t EncodedTable::UpperBoundRank(AttributeId col, const Value& v) const {
-  const Column& c = *columns_[col];
+  const Dictionary& d = *columns_[col]->dict;
   const auto it = std::upper_bound(
-      c.sorted.begin(), c.sorted.end(), v,
-      [&c](const Value& x, uint32_t code) { return x < c.values[code]; });
-  return static_cast<uint32_t>(it - c.sorted.begin());
+      d.sorted.begin(), d.sorted.end(), v,
+      [&d](const Value& x, uint32_t code) { return x < d.values[code]; });
+  return static_cast<uint32_t>(it - d.sorted.begin());
 }
 
 std::vector<int> EncodedTable::CompactDictionaries() {
   std::vector<int> retired(columns_.size(), 0);
   for (AttributeId col : encoded_) {
     const Column& before = *columns_[col];
-    const size_t d = before.values.size();
+    const Dictionary& dict = *before.dict;
+    const size_t d = dict.values.size();
     // Liveness scan on the shared column — no detach needed yet.
     std::vector<char> live(d, 0);
     for (uint32_t code : before.codes) {
@@ -144,39 +152,41 @@ std::vector<int> EncodedTable::CompactDictionaries() {
     }
     size_t live_count = 0;
     for (char l : live) live_count += static_cast<size_t>(l);
-    if (live_count == d && before.ordered) continue;  // already canonical
+    if (live_count == d && dict.ordered) continue;  // already canonical
     retired[col] = static_cast<int>(d - live_count);
 
     // Canonical target: live values in ascending value order get codes
     // 0..live_count-1, so code order IS value order (rank identity).
-    // `before.sorted` already lists codes in that order; walking it and
+    // `dict.sorted` already lists codes in that order; walking it and
     // skipping dead codes yields the old→new remap directly.
     std::vector<uint32_t> remap(d, kMissingCode);
     Column next;
-    next.values.reserve(live_count);
-    next.dict.reserve(live_count);
-    for (uint32_t old_code : before.sorted) {
+    Dictionary& canon = *next.dict;
+    canon.values.reserve(live_count);
+    canon.index.reserve(live_count);
+    for (uint32_t old_code : dict.sorted) {
       if (!live[old_code]) continue;
-      remap[old_code] = static_cast<uint32_t>(next.values.size());
-      next.dict.emplace(before.values[old_code],
-                        static_cast<uint32_t>(next.values.size()));
-      next.values.push_back(before.values[old_code]);
+      remap[old_code] = static_cast<uint32_t>(canon.values.size());
+      canon.index.emplace(dict.values[old_code],
+                          static_cast<uint32_t>(canon.values.size()));
+      canon.values.push_back(dict.values[old_code]);
     }
-    next.sorted.resize(live_count);
-    std::iota(next.sorted.begin(), next.sorted.end(), 0u);
-    next.rank.assign(live_count + 1, kNoRank);
+    canon.sorted.resize(live_count);
+    std::iota(canon.sorted.begin(), canon.sorted.end(), 0u);
+    canon.rank.assign(live_count + 1, kNoRank);
     for (size_t r = 0; r < live_count; ++r) {
-      next.rank[r] = static_cast<uint32_t>(r);
+      canon.rank[r] = static_cast<uint32_t>(r);
     }
-    next.ordered = true;
+    canon.ordered = true;
     next.null_count = before.null_count;
     next.codes.resize(before.codes.size());
     for (size_t row = 0; row < before.codes.size(); ++row) {
       const uint32_t code = before.codes[row];
       next.codes[row] = code == kNullCode ? kNullCode : remap[code];
     }
-    // Publish the rebuilt column as a fresh version; snapshots sharing
-    // the old shared_ptr keep their pre-compaction codes bit-stable.
+    // Publish the rebuilt column and dictionary as a fresh version;
+    // snapshots and gathers sharing the old ones keep their
+    // pre-compaction codes bit-stable.
     columns_[col] = std::make_shared<Column>(std::move(next));
   }
   return retired;
@@ -184,7 +194,7 @@ std::vector<int> EncodedTable::CompactDictionaries() {
 
 Status EncodedTable::CheckDictionaryOrder() const {
   for (AttributeId col : encoded_) {
-    const Column& c = *columns_[col];
+    const Dictionary& c = *columns_[col]->dict;
     const size_t d = c.values.size();
     if (c.sorted.size() != d) {
       return Status::Internal("order index: sorted size != dictionary");
@@ -218,7 +228,7 @@ Status EncodedTable::CheckDictionaryOrder() const {
 const Value& EncodedTable::DecodeCode(AttributeId col, uint32_t code) const {
   static const Value kNull = Value::Null();
   if (code == kNullCode) return kNull;
-  return columns_[col]->values[code];
+  return columns_[col]->dict->values[code];
 }
 
 AttributeSet EncodedTable::NullFreeColumns() const {
@@ -244,12 +254,12 @@ void EncodedTable::TrimDictionaries(const std::vector<int>& sizes) {
   assert(sizes.size() == columns_.size());
   for (AttributeId col : encoded_) {
     if (dictionary_size(col) <= sizes[col]) continue;
-    Column& c = Detach(col);
-    while (static_cast<int>(c.values.size()) > sizes[col]) {
-      c.dict.erase(c.values.back());
-      c.values.pop_back();
+    Dictionary& d = MutableDictionary(&Detach(col));
+    while (static_cast<int>(d.values.size()) > sizes[col]) {
+      d.index.erase(d.values.back());
+      d.values.pop_back();
     }
-    RebuildOrder(&c);
+    RebuildOrder(&d);
   }
 }
 
@@ -330,22 +340,23 @@ Table EncodedTable::Decode(const TableSchema& schema) const {
 
 EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows,
                                       ThreadPool* pool) const {
-  EncodedTable out(num_columns());
-  out.encoded_ = encoded_;
+  // Unencoded columns stay shared (they hold no rows); each encoded one
+  // is replaced by a fresh code vector over the source's dictionary.
+  EncodedTable out(*this);
   out.num_rows_ = static_cast<int>(rows.size());
   std::vector<AttributeId> cols;
   cols.reserve(encoded_.size());
   for (AttributeId col : encoded_) cols.push_back(col);
   auto gather_one = [&](AttributeId col) {
     const Column& src = *columns_[col];
-    Column& dst = *out.columns_[col];
-    CopyDictionary(src, &dst);
-    dst.codes.reserve(rows.size());
-    for (int row : rows) {
-      const uint32_t code = src.codes[row];
-      if (code == kNullCode) ++dst.null_count;
-      dst.codes.push_back(code);
+    auto dst = std::make_shared<Column>(src.dict);
+    dst->codes.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const uint32_t code = src.codes[rows[i]];
+      if (code == kNullCode) ++dst->null_count;
+      dst->codes[i] = code;
     }
+    out.columns_[col] = std::move(dst);
   };
   if (pool != nullptr && cols.size() > 1) {
     pool->RunTasks(static_cast<int>(cols.size()),
@@ -376,14 +387,15 @@ EncodedTable EncodedTable::GatherColumns(const std::vector<AttributeId>& cols,
 EncodedTable EncodedTable::AllocateTarget(
     const std::vector<std::pair<const EncodedTable*, AttributeId>>& sources,
     int num_rows) {
-  EncodedTable out(static_cast<int>(sources.size()));
+  EncodedTable out(0);
+  out.encoded_ = AttributeSet::FullSet(static_cast<int>(sources.size()));
   out.num_rows_ = num_rows;
-  for (size_t j = 0; j < sources.size(); ++j) {
-    const auto& [src, col] = sources[j];
+  out.columns_.reserve(sources.size());
+  for (const auto& [src, col] : sources) {
     assert(src->encoded_.Contains(col));
-    Column& dst = *out.columns_[j];
-    CopyDictionary(*src->columns_[col], &dst);
-    dst.codes.resize(num_rows);
+    auto dst = std::make_shared<Column>(src->columns_[col]->dict);
+    dst->codes.resize(num_rows);
+    out.columns_.push_back(std::move(dst));
   }
   return out;
 }
@@ -474,10 +486,10 @@ std::vector<int> EncodedTable::DistinctRows(ThreadPool* pool) const {
 
 std::vector<uint32_t> EncodedTable::TranslationTo(
     AttributeId col, const EncodedTable& other, AttributeId other_col) const {
-  const Column& c = *columns_[col];
-  std::vector<uint32_t> map(c.values.size());
-  for (size_t code = 0; code < c.values.size(); ++code) {
-    map[code] = other.LookupCode(other_col, c.values[code]);
+  const Dictionary& d = *columns_[col]->dict;
+  std::vector<uint32_t> map(d.values.size());
+  for (size_t code = 0; code < d.values.size(); ++code) {
+    map[code] = other.LookupCode(other_col, d.values[code]);
   }
   return map;
 }
@@ -515,12 +527,13 @@ bool EncodedTable::BitIdentical(const EncodedTable& other) const {
   for (AttributeId col : encoded_) {
     const Column& a = *columns_[col];
     const Column& b = *other.columns_[col];
-    if (a.codes != b.codes || a.null_count != b.null_count ||
-        a.values.size() != b.values.size()) {
-      return false;
-    }
-    for (size_t code = 0; code < a.values.size(); ++code) {
-      if (!(a.values[code] == b.values[code])) return false;
+    if (a.codes != b.codes || a.null_count != b.null_count) return false;
+    if (a.dict == b.dict) continue;
+    const std::vector<Value>& av = a.dict->values;
+    const std::vector<Value>& bv = b.dict->values;
+    if (av.size() != bv.size()) return false;
+    for (size_t code = 0; code < av.size(); ++code) {
+      if (!(av[code] == bv[code])) return false;
     }
   }
   return true;

@@ -46,17 +46,29 @@
 // contents compact to BIT-IDENTICAL encodings regardless of their
 // mutation histories.
 //
-// COPY-ON-WRITE COLUMNS. Columns are held by shared_ptr, and copying an
-// EncodedTable is O(columns): the copy shares every column with the
-// original. Mutating entry points detach (clone) a shared column before
-// writing, so a copy taken as a SNAPSHOT stays bit-stable forever while
-// the original keeps evolving — this is the versioned-column pointer
-// swap behind the engine's snapshot reads (engine/catalog.h). A
-// snapshot's columns are freed when the last EncodedTable referencing
-// them is destroyed; no epoch bookkeeping is needed beyond the
+// COPY-ON-WRITE COLUMNS AND DICTIONARIES. Sharing has two levels. A
+// column holds its codes and, by shared_ptr, its dictionary (values,
+// hash map, order index); an EncodedTable holds its columns by
+// shared_ptr. Copying an EncodedTable is O(columns): the copy shares
+// every column with the original. GatherRows and AllocateTarget (so
+// every join output) build new code vectors but share their sources'
+// dictionaries, so materializing a selection or a join costs its rows,
+// not its dictionaries. Mutating entry points detach (clone) a shared
+// column before writing its codes, and a dictionary is cloned only by
+// the paths that change it — minting a value, TrimDictionaries,
+// CompactDictionaries — and only while something else still shares
+// it. A copy taken as a SNAPSHOT therefore stays bit-stable forever
+// while the original keeps evolving — this is the versioned-column
+// pointer swap behind the engine's snapshot reads (engine/catalog.h).
+// A snapshot's columns and dictionaries are freed when the last
+// reference is dropped; no epoch bookkeeping is needed beyond the
 // shared_ptr counts. Sharing/detaching is safe under the engine's
 // single-writer discipline: concurrent readers of snapshot copies never
-// mutate, and the single writer is the only thread that detaches.
+// mutate, and the single writer is the only thread that detaches. A
+// reader reaches a dictionary only through a snapshot column that
+// references it (or through a gather or join of one, which references
+// it too), so the writer never reads a stale use count of 1 for a
+// dictionary a reader can still see.
 
 #ifndef SQLNF_CORE_ENCODED_TABLE_H_
 #define SQLNF_CORE_ENCODED_TABLE_H_
@@ -103,8 +115,9 @@ class EncodedTable {
   explicit EncodedTable(int num_columns);
 
   /// Copies share every column (O(columns)); a later mutation of either
-  /// side detaches just the touched column. This is the snapshot
-  /// mechanism — see the header comment.
+  /// side detaches just the touched column, and its dictionary only if
+  /// the mutation changes it. This is the snapshot mechanism — see the
+  /// header comment.
   EncodedTable(const EncodedTable&) = default;
   EncodedTable& operator=(const EncodedTable&) = default;
   EncodedTable(EncodedTable&&) = default;
@@ -127,7 +140,7 @@ class EncodedTable {
   /// Distinct non-null values ever encoded in `col` (codes are
   /// 0..dictionary_size-1; deleted values keep their retired codes).
   int dictionary_size(AttributeId col) const {
-    return static_cast<int>(columns_[col]->values.size());
+    return static_cast<int>(columns_[col]->dict->values.size());
   }
 
   /// Every encoded column's dictionary_size, indexed by column — the
@@ -157,14 +170,14 @@ class EncodedTable {
   /// dictionary_size — the gather array behind encoded ordered
   /// predicates (index with min(code, dictionary_size)).
   const std::vector<uint32_t>& CodeRanks(AttributeId col) const {
-    return columns_[col]->rank;
+    return columns_[col]->dict->rank;
   }
 
   /// True when code order already equals value order (rank identity) —
   /// the post-compaction fast path: ordered predicates then test raw
   /// codes against the interval with no rank gather at all.
   bool DictionaryOrdered(AttributeId col) const {
-    return columns_[col]->ordered;
+    return columns_[col]->dict->ordered;
   }
 
   /// Number of dictionary values of `col` strictly less than `v`
@@ -232,12 +245,14 @@ class EncodedTable {
   // ---- Columnar executor support. The relational operators of
   // decomposition/encoded_ops.h and engine/relops.h are compositions of
   // these four primitives; none of them touches a Value — dictionaries
-  // are copied or probed, never rebuilt.
+  // are shared or probed, never copied or rebuilt.
 
   /// The listed rows (any order, duplicates allowed) gathered into a new
-  /// encoding. Dictionaries are copied unchanged, so codes keep their
-  /// meaning — this is how a selection vector materializes. With a pool
-  /// the per-column gathers run as parallel tasks (identical result).
+  /// encoding. Each column shares its source's dictionary (copy-on-
+  /// write), so codes keep their meaning and the cost is the gathered
+  /// codes alone — this is how a selection vector materializes. With a
+  /// pool the per-column gathers run as parallel tasks (identical
+  /// result).
   EncodedTable GatherRows(const std::vector<int>& rows,
                           ThreadPool* pool = nullptr) const;
 
@@ -250,11 +265,12 @@ class EncodedTable {
                              ThreadPool* pool = nullptr) const;
 
   /// An allocated-but-unfilled gather target for two-phase (count/fill)
-  /// writers: column j copies the dictionary of column sources[j].second
-  /// of *sources[j].first and gets a code vector sized to `num_rows`
-  /// with unspecified contents. The writer must store a code into every
-  /// slot through mutable_codes() and then call RecountNulls() — until
-  /// then row queries and null counts are meaningless.
+  /// writers: column j shares the dictionary of column sources[j].second
+  /// of *sources[j].first (copy-on-write) and gets a code vector sized
+  /// to `num_rows` with unspecified contents. The writer must store a
+  /// code into every slot through mutable_codes() and then call
+  /// RecountNulls() — until then row queries and null counts are
+  /// meaningless.
   static EncodedTable AllocateTarget(
       const std::vector<std::pair<const EncodedTable*, AttributeId>>&
           sources,
@@ -313,26 +329,40 @@ class EncodedTable {
   struct ValueHasher {
     size_t operator()(const Value& v) const { return v.Hash(); }
   };
-  struct Column {
-    std::vector<uint32_t> codes;  // one per row; kNullCode for ⊥
-    std::vector<Value> values;    // code -> value
-    std::unordered_map<Value, uint32_t, ValueHasher> dict;
-    int null_count = 0;
-    // Order index, derived from `values` and maintained by every
-    // dictionary mutation: codes in ascending value order, the inverse
-    // rank per code (with the kNoRank sentinel at index values.size()),
-    // and whether code order equals value order.
+  // A column's dictionary: code -> value, value -> code, and the order
+  // index derived from `values` and maintained by every dictionary
+  // mutation — codes in ascending value order, the inverse rank per
+  // code (with the kNoRank sentinel at index values.size()), and
+  // whether code order equals value order. Shared copy-on-write by the
+  // columns of copies, gathers and join outputs.
+  struct Dictionary {
+    std::vector<Value> values;
+    std::unordered_map<Value, uint32_t, ValueHasher> index;
     std::vector<uint32_t> sorted;
     std::vector<uint32_t> rank = {kNoRank};
     bool ordered = true;
   };
+  struct Column {
+    Column() = default;
+    explicit Column(std::shared_ptr<Dictionary> d) : dict(std::move(d)) {}
+    std::vector<uint32_t> codes;  // one per row; kNullCode for ⊥
+    int null_count = 0;
+    std::shared_ptr<Dictionary> dict = std::make_shared<Dictionary>();
+  };
 
   /// The mutable column, cloned first if a snapshot still shares it
-  /// (copy-on-write). Every mutating entry point goes through here.
+  /// (copy-on-write). Every mutating entry point goes through here; the
+  /// clone shares the dictionary.
   Column& Detach(AttributeId col);
 
-  /// Encodes `value` into `col`, growing the dictionary — and its
-  /// order index — on first sight.
+  /// The column's dictionary ready for writing, cloned first if another
+  /// column still shares it. Only the paths that change a dictionary
+  /// call this, on a column already detached.
+  static Dictionary& MutableDictionary(Column* col);
+
+  /// Encodes `value` into `col`: a lookup first, so a value already in
+  /// the dictionary neither allocates nor clones; a new value grows the
+  /// dictionary and its order index.
   static uint32_t Encode(Column* col, const Value& value);
 
   /// Dictionary growth without order maintenance, for bulk encodes
@@ -342,14 +372,10 @@ class EncodedTable {
 
   /// Splices freshly minted `code` into the order index (O(dictionary)
   /// worst case; O(1) when values arrive in ascending order).
-  static void InsertOrdered(Column* col, uint32_t code);
+  static void InsertOrdered(Dictionary* dict, uint32_t code);
 
   /// Recomputes the order index from `values` (O(d log d)).
-  static void RebuildOrder(Column* col);
-
-  /// Copies the dictionary state (values, hash map, order index) of
-  /// `src` into `dst` — the shared step of GatherRows/AllocateTarget.
-  static void CopyDictionary(const Column& src, Column* dst);
+  static void RebuildOrder(Dictionary* dict);
 
   int num_rows_ = 0;
   AttributeSet encoded_;

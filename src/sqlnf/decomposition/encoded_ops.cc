@@ -73,6 +73,23 @@ Result<std::vector<EncodedRelation>> ProjectAllEncoded(
   return out;
 }
 
+Result<TableSchema> NaturalJoinSchema(const TableSchema& ls,
+                                      const TableSchema& rs,
+                                      const std::string& name) {
+  std::vector<std::string> out_names;
+  std::vector<std::string> out_not_null;
+  for (AttributeId l = 0; l < ls.num_attributes(); ++l) {
+    out_names.push_back(ls.attribute_name(l));
+    if (ls.nfs().Contains(l)) out_not_null.push_back(ls.attribute_name(l));
+  }
+  for (AttributeId r = 0; r < rs.num_attributes(); ++r) {
+    if (ls.FindAttribute(rs.attribute_name(r)).ok()) continue;
+    out_names.push_back(rs.attribute_name(r));
+    if (rs.nfs().Contains(r)) out_not_null.push_back(rs.attribute_name(r));
+  }
+  return TableSchema::Make(name, out_names, out_not_null);
+}
+
 Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
                                             const EncodedTable& left_cols,
                                             const TableSchema& rs,
@@ -83,35 +100,26 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
   // columns, then right-only; common columns pair up by name.
   std::vector<std::pair<AttributeId, AttributeId>> common;  // (l, r)
   std::vector<AttributeId> right_only;
-  std::vector<std::string> out_names;
-  std::vector<std::string> out_not_null;
-  for (AttributeId l = 0; l < ls.num_attributes(); ++l) {
-    out_names.push_back(ls.attribute_name(l));
-    if (ls.nfs().Contains(l)) out_not_null.push_back(ls.attribute_name(l));
-  }
   for (AttributeId r = 0; r < rs.num_attributes(); ++r) {
     auto l = ls.FindAttribute(rs.attribute_name(r));
     if (l.ok()) {
       common.emplace_back(l.value(), r);
     } else {
       right_only.push_back(r);
-      out_names.push_back(rs.attribute_name(r));
-      if (rs.nfs().Contains(r)) {
-        out_not_null.push_back(rs.attribute_name(r));
-      }
     }
   }
   SQLNF_ASSIGN_OR_RETURN(TableSchema out_schema,
-                         TableSchema::Make(name, out_names, out_not_null));
+                         NaturalJoinSchema(ls, rs, name));
 
   const int left_rows = left_cols.num_rows();
   const int right_rows = right_cols.num_rows();
   const int num_left_out = ls.num_attributes();
 
   // Output layout: every left column, then the right-only columns, each
-  // keeping its source dictionary. AllocateTarget pre-sizes the code
-  // vectors once the count pass has fixed the row total; the fill pass
-  // writes codes straight into them.
+  // sharing its source column's dictionary (copy-on-write, so no
+  // dictionary is copied). AllocateTarget pre-sizes the code vectors
+  // once the count pass has fixed the row total; the fill pass writes
+  // codes straight into them.
   std::vector<std::pair<const EncodedTable*, AttributeId>> sources;
   sources.reserve(num_left_out + right_only.size());
   for (AttributeId l = 0; l < num_left_out; ++l) {

@@ -69,6 +69,15 @@ Result<std::vector<EncodedRelation>> ProjectAllEncoded(
     const TableSchema& schema, const EncodedTable& enc,
     const Decomposition& d, ThreadPool* pool = nullptr);
 
+/// The schema of the natural join of `left_schema` and `right_schema`
+/// under `name`: every left column, then the right columns the left
+/// lacks, each keeping its NOT NULL flag. EqualityJoinEncoded's output
+/// carries exactly this schema; the SQL executor binds a WHERE against
+/// it before any row is joined.
+Result<TableSchema> NaturalJoinSchema(const TableSchema& left_schema,
+                                      const TableSchema& right_schema,
+                                      const std::string& name);
+
 /// Natural equality join on codes (common columns by name; identical
 /// values, ⊥ = ⊥ included — Theorem 11 semantics). The right side's
 /// common-column codes are translated into the left side's code space,
@@ -81,8 +90,10 @@ Result<std::vector<EncodedRelation>> ProjectAllEncoded(
 /// match-pair list is ever materialized. A join with no common columns
 /// takes a dedicated cartesian path (row-count products, sequential
 /// fills) instead of funnelling every row through one hash bucket.
-/// The emitted row order — left-major, right rows ascending within a
-/// left row — is identical at every thread count.
+/// Output columns share their source columns' dictionaries, so the
+/// cost is the emitted codes alone. The emitted row order — left-major,
+/// right rows ascending within a left row — is identical at every
+/// thread count.
 Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& left_schema,
                                             const EncodedTable& left,
                                             const TableSchema& right_schema,

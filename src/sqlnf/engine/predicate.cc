@@ -88,6 +88,36 @@ bool MatchesAtom(const Value& cell, const PredicateAtom& atom) {
   return false;
 }
 
+std::vector<Predicate> JoinInputFilters(
+    const Predicate& where, const TableSchema& joined,
+    const std::vector<const TableSchema*>& inputs) {
+  std::vector<Predicate> filters;
+  filters.reserve(inputs.size());
+  for (const TableSchema* input : inputs) {
+    std::vector<int> id(joined.num_attributes(), -1);
+    for (AttributeId c = 0; c < joined.num_attributes(); ++c) {
+      auto found = input->FindAttribute(joined.attribute_name(c));
+      if (found.ok()) id[c] = *found;
+    }
+    Predicate filter;
+    for (const Conjunction& conj : where.disjuncts) {
+      Conjunction local;
+      for (const PredicateAtom& atom : conj) {
+        if (id[atom.column] < 0) continue;
+        local.push_back(atom);
+        local.back().column = static_cast<AttributeId>(id[atom.column]);
+      }
+      if (local.empty()) {
+        filter = Predicate::True();
+        break;
+      }
+      filter.disjuncts.push_back(std::move(local));
+    }
+    filters.push_back(std::move(filter));
+  }
+  return filters;
+}
+
 bool MatchesPredicate(const Tuple& t, const Predicate& pred) {
   for (const Conjunction& conj : pred.disjuncts) {
     bool all = true;

@@ -113,6 +113,20 @@ PredicateAtom In(AttributeId column, std::vector<Value> list);
 /// statement boundary; evaluators may assume validity.
 Status ValidatePredicate(const Predicate& pred, int num_columns);
 
+/// What `where`, bound against the schema `joined` of a natural join,
+/// implies for each of the join's inputs (`inputs`, in join order).
+/// Filter i is, per disjunct, the atoms on columns input i holds,
+/// rebound to its ids, OR'd over the disjuncts. A joined row satisfies
+/// `where` only if every input row it came from satisfies its input's
+/// filter: the join matches identical values (⊥ = ⊥), so an atom on a
+/// join column reads the same on every input holding the column, and
+/// goes to each of them. A disjunct with no atom on an input makes that
+/// input's filter TRUE. The SQL executor (engine/sql.h) filters each
+/// join input by its filter before joining.
+std::vector<Predicate> JoinInputFilters(
+    const Predicate& where, const TableSchema& joined,
+    const std::vector<const TableSchema*>& inputs);
+
 /// The literal row-major oracle: evaluates the tree on a decoded tuple
 /// exactly as the semantics above read. Differential reference for
 /// CompiledPredicate.

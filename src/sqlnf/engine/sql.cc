@@ -222,28 +222,70 @@ Result<Predicate> BindWhere(const ParsedWhere& where,
   return pred;
 }
 
-/// The shared SELECT executor: joins the bound tables, compiles the
-/// WHERE onto codes, and decodes only the selected rows of the
-/// projected columns. Role-free — it reads only through the TableRefs
-/// the caller resolved, never the Database.
+/// A join input filtered by `filter`: the input itself when the filter
+/// keeps every row, else its kept rows gathered into `*storage`.
+const EncodedTable* FilterJoinInput(const EncodedTable& input,
+                                    const Predicate& filter,
+                                    std::optional<EncodedTable>* storage) {
+  if (filter.IsTrue()) return &input;
+  const std::vector<int> rows = SelectRowsEncoded(input, filter);
+  if (static_cast<int>(rows.size()) == input.num_rows()) return &input;
+  storage->emplace(input.GatherRows(rows));
+  return &**storage;
+}
+
+/// The shared SELECT executor. Binds the WHERE against the joined
+/// schema, filters each join input by what the WHERE implies for it
+/// (engine/predicate.h JoinInputFilters), joins the filtered inputs,
+/// applies the full WHERE to the join's output — which keeps an OR
+/// spanning inputs exact — and decodes only the selected rows of the
+/// projected columns. The rows and their order are those of joining
+/// whole tables and filtering afterwards: the join emits left-major
+/// with right rows ascending, and filtered inputs keep their ascending
+/// order, so the output is the same subsequence. A single-table SELECT
+/// is one scan with no gather. Role-free — it reads only through the
+/// TableRefs the caller resolved, never the Database.
 Result<QueryResult> SelectCore(const ParsedSelect& ps,
                                const std::vector<TableRef>& refs,
                                int* error_offset) {
+  // The joined schema comes before any scan, so an unknown WHERE column
+  // fails against it exactly as when the WHERE bound after the join.
+  const std::string join_name = ps.tables[0].name + "_join";
+  std::optional<TableSchema> joined_schema;
+  for (size_t i = 1; i < refs.size(); ++i) {
+    SQLNF_ASSIGN_OR_RETURN(
+        TableSchema next,
+        NaturalJoinSchema(joined_schema ? *joined_schema : *refs[0].schema,
+                          *refs[i].schema, join_name));
+    joined_schema = std::move(next);
+  }
+  SQLNF_ASSIGN_OR_RETURN(
+      Predicate conditions,
+      BindWhere(ps.where, joined_schema ? *joined_schema : *refs[0].schema,
+                error_offset));
+
   const TableSchema* cur_schema = refs[0].schema;
   const EncodedTable* cur_cols = refs[0].columns;
   std::optional<EncodedRelation> joined;
-  for (size_t i = 1; i < refs.size(); ++i) {
-    SQLNF_ASSIGN_OR_RETURN(
-        EncodedRelation next,
-        EqualityJoinEncoded(*cur_schema, *cur_cols, *refs[i].schema,
-                            *refs[i].columns,
-                            ps.tables[0].name + "_join"));
-    joined = std::move(next);
-    cur_schema = &joined->schema;
-    cur_cols = &joined->columns;
+  if (joined_schema) {
+    std::vector<const TableSchema*> schemas;
+    for (const TableRef& ref : refs) schemas.push_back(ref.schema);
+    const std::vector<Predicate> filters =
+        JoinInputFilters(conditions, *joined_schema, schemas);
+    std::vector<std::optional<EncodedTable>> filtered(refs.size());
+    cur_cols = FilterJoinInput(*refs[0].columns, filters[0], &filtered[0]);
+    for (size_t i = 1; i < refs.size(); ++i) {
+      const EncodedTable* right =
+          FilterJoinInput(*refs[i].columns, filters[i], &filtered[i]);
+      SQLNF_ASSIGN_OR_RETURN(
+          EncodedRelation next,
+          EqualityJoinEncoded(*cur_schema, *cur_cols, *refs[i].schema,
+                              *right, join_name));
+      joined = std::move(next);
+      cur_schema = &joined->schema;
+      cur_cols = &joined->columns;
+    }
   }
-  SQLNF_ASSIGN_OR_RETURN(Predicate conditions,
-                         BindWhere(ps.where, *cur_schema, error_offset));
 
   const std::vector<int> sel = SelectRowsEncoded(*cur_cols, conditions);
   std::vector<AttributeId> ids;

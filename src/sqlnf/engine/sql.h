@@ -37,6 +37,10 @@
 // (`<`/`<=`/`>`/`>=`/BETWEEN) exclude ⊥ by definition — a ⊥ cell never
 // satisfies one, nor does a NULL bound (engine/predicate.h). The whole
 // clause compiles to branch-free integer tests on dictionary codes.
+// Over NATURAL JOINs, each input is first filtered by what the WHERE
+// implies for it (engine/predicate.h JoinInputFilters), so a selective
+// join costs what it returns; the result's rows and their order are
+// those of joining whole tables and filtering afterwards.
 //
 // The CERTAIN/POSSIBLE clauses are this library's SQL extension: they
 // declare the paper's constraint classes, and the Database enforces

@@ -1,5 +1,7 @@
 #include "sqlnf/engine/txn.h"
 
+#include <algorithm>
+
 #include "sqlnf/engine/catalog.h"
 
 namespace sqlnf {
@@ -16,14 +18,24 @@ TableUndo& UndoLog::Touch(const std::string& table,
 
 void UndoLog::RollbackTable(const TableUndo& undo,
                             IncrementalEnforcer* enforcer) {
+  // A run of consecutive kInsert records is the table's tail once every
+  // later mutation is undone: unindex each row, then drop the whole run
+  // in one compaction pass (no survivor is renumbered), as InsertRows
+  // drops a rejected statement's tail.
+  std::vector<int> inserted;  // the current run's ids, newest first
+  auto drop_inserted = [&] {
+    if (inserted.empty()) return;
+    std::reverse(inserted.begin(), inserted.end());
+    enforcer->CompactAfterErase(inserted);
+    inserted.clear();
+  };
   for (auto it = undo.ops.rbegin(); it != undo.ops.rend(); ++it) {
     const UndoRecord& r = *it;
+    if (r.kind != UndoRecord::Kind::kInsert) drop_inserted();
     switch (r.kind) {
       case UndoRecord::Kind::kInsert:
-        // Every later mutation is already undone, so the inserted row
-        // sits at its original append position again.
         enforcer->Remove(r.row_id);
-        enforcer->CompactAfterErase({r.row_id});
+        inserted.push_back(r.row_id);
         break;
       case UndoRecord::Kind::kUpdate:
         enforcer->Remove(r.row_id);
@@ -34,6 +46,7 @@ void UndoLog::RollbackTable(const TableUndo& undo,
         break;
     }
   }
+  drop_inserted();
   enforcer->TrimDictionaries(undo.dict_mark);
 }
 

@@ -16,7 +16,10 @@
 //
 //   kInsert  {row_id}                → Remove + CompactAfterErase: at
 //            undo time every later mutation has already been undone, so
-//            the row sits at `row_id` again and is the highest row.
+//            the row sits at `row_id` again and is the highest row. A
+//            run of consecutive kInsert records is the table's tail, so
+//            its rows are Remove()d one by one and dropped in a single
+//            CompactAfterErase over the run's ids.
 //   kUpdate  {row_id, pre_image}     → Remove + Add(pre_image) in
 //            place; re-encoding the pre-image reproduces its original
 //            codes because dictionaries never shrink mid-transaction.

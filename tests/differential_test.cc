@@ -40,6 +40,7 @@
 #include "sqlnf/decomposition/lossless.h"
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/reference/relops.h"
 #include "sqlnf/reference/validate.h"
@@ -60,6 +61,7 @@ using testing::OracleWeaklySimilar;
 using testing::RandomInstance;
 using testing::RandomSchema;
 using testing::RandomSubset;
+using testing::SqlAtom;
 
 int IterMultiplier() {
   const char* env = std::getenv("SQLNF_DIFF_ITERS");
@@ -918,6 +920,326 @@ TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
       EXPECT_TRUE((*stored)->Materialize().SameMultiset(shadow))
           << what << " after op " << op;
     }
+  }
+}
+
+// --- Executor sweep 4: SELECT over NATURAL JOINs. The executor filters
+// each join input by what the WHERE implies for it (JoinInputFilters),
+// joins the filtered inputs and applies the whole WHERE to the join's
+// output. Random 2-, 3- and 4-way joins over small tables — ⊥,
+// duplicates and values present on one side only in the shared columns
+// — under random DNF WHEREs: atoms on join columns (=, = NULL, <>,
+// ranges, IN), atoms on one input's own columns, and ORs spanning
+// inputs. Each query runs through ExecuteReadOnly on a SnapshotAll map
+// and through SqlSession::Execute at every SIMD level, and must return
+// the rows of JoinAll + SelectWhere, row for row and in order. Each
+// input's filter is checked as well: every joined row the WHERE keeps
+// satisfies it (sound), and it keeps every atom of a disjunct on the
+// input's columns, so an atom on a join column reaches every input
+// holding the column.
+
+// `SELECT <cols> FROM t NATURAL JOIN u ... [WHERE <dnf>]`; AND binds
+// tighter than OR, so the disjuncts need no parentheses.
+std::string JoinSelectSql(const std::vector<std::string>& tables,
+                          const std::vector<std::string>& cols,
+                          const TableSchema& joined, const Predicate& where) {
+  std::string sql = "SELECT ";
+  for (size_t i = 0; i < cols.size(); ++i) sql += (i > 0 ? ", " : "") + cols[i];
+  if (cols.empty()) sql += "*";
+  sql += " FROM " + tables[0];
+  for (size_t i = 1; i < tables.size(); ++i) {
+    sql += " NATURAL JOIN " + tables[i];
+  }
+  if (where.IsTrue()) return sql + ";";
+  sql += " WHERE ";
+  for (size_t d = 0; d < where.disjuncts.size(); ++d) {
+    if (d > 0) sql += " OR ";
+    for (size_t a = 0; a < where.disjuncts[d].size(); ++a) {
+      if (a > 0) sql += " AND ";
+      sql += SqlAtom(joined, where.disjuncts[d][a]);
+    }
+  }
+  return sql + ";";
+}
+
+// A join input: shared int columns drawn from [index, index + 3] with
+// ⊥ (duplicates, ⊥ = ⊥ matches, and values on one side only), plus one
+// string column of its own.
+Table RandomJoinInput(Rng* rng, int index,
+                      const std::vector<std::string>& shared, int rows) {
+  std::vector<std::string> attrs = shared;
+  attrs.push_back("o" + std::to_string(index));
+  std::vector<std::vector<Value>> cells;
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < shared.size(); ++c) {
+      row.push_back(rng->Chance(0.2)
+                        ? Value::Null()
+                        : Value::Int(index + rng->Uniform(0, 3)));
+    }
+    row.push_back(rng->Chance(0.15)
+                      ? Value::Null()
+                      : Value::Str("s" + std::to_string(rng->Uniform(0, 4))));
+    cells.push_back(std::move(row));
+  }
+  return MakeJoinInput("t" + std::to_string(index), attrs, cells);
+}
+
+// A random atom on column `col` of the joined schema: own (string)
+// columns start with 'o', shared (int) columns do not.
+PredicateAtom RandomJoinAtom(Rng* rng, const TableSchema& joined,
+                             AttributeId col) {
+  const bool own = joined.attribute_name(col)[0] == 'o';
+  auto value = [&](bool allow_null) {
+    if (allow_null && rng->Chance(0.2)) return Value::Null();
+    return own ? Value::Str("s" + std::to_string(rng->Uniform(0, 5)))
+               : Value::Int(rng->Uniform(0, 7));
+  };
+  switch (rng->Index(6)) {
+    case 0:
+    case 1:
+      return Cmp(col, CompareOp::kEq, value(true));
+    case 2:
+      return Cmp(col, CompareOp::kNe, value(true));
+    case 3:
+      return Cmp(col,
+                 static_cast<CompareOp>(
+                     static_cast<int>(CompareOp::kLt) + rng->Index(4)),
+                 value(false));
+    case 4: {
+      Value lo = value(false);
+      Value hi = value(false);
+      if (hi < lo) std::swap(lo, hi);
+      return Between(col, lo, hi);
+    }
+    default: {
+      std::vector<Value> list;
+      const int n = static_cast<int>(rng->Uniform(1, 3));
+      for (int i = 0; i < n; ++i) list.push_back(value(true));
+      return In(col, std::move(list));
+    }
+  }
+}
+
+// The row of `joined_row` restricted to `input`'s columns — the input
+// row it came from, since a natural join copies every input's cells.
+Tuple InputRow(const Tuple& joined_row, const TableSchema& joined,
+               const TableSchema& input) {
+  std::vector<Value> cells;
+  for (AttributeId a = 0; a < input.num_attributes(); ++a) {
+    cells.push_back(
+        joined_row[joined.FindAttribute(input.attribute_name(a)).value()]);
+  }
+  return Tuple(std::move(cells));
+}
+
+// Runs one SELECT over `tables` (joined in that order, names may
+// repeat) through both SQL entry points at every SIMD level and holds
+// the rows to JoinAll + SelectWhere; checks each input's filter.
+void CheckJoinSelect(Database* db, const std::vector<Table>& tables,
+                     const Predicate& where,
+                     const std::vector<AttributeId>& projection,
+                     const std::string& what) {
+  auto joined = JoinAll(tables, tables[0].schema().name() + "_join");
+  ASSERT_OK(joined.status()) << what;
+  const TableSchema& js = joined->schema();
+  const Table expect = SelectWhere(
+      *joined, [&](const Tuple& t) { return MatchesPredicate(t, where); });
+
+  std::vector<std::string> names;
+  std::vector<const TableSchema*> schemas;
+  for (const Table& t : tables) {
+    names.push_back(t.schema().name());
+    schemas.push_back(&t.schema());
+  }
+  std::vector<std::string> cols;
+  for (AttributeId a : projection) cols.push_back(js.attribute_name(a));
+  const std::string sql = JoinSelectSql(names, cols, js, where);
+
+  const std::vector<Predicate> filters = JoinInputFilters(where, js, schemas);
+  ASSERT_EQ(filters.size(), tables.size()) << what;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const TableSchema& input = tables[i].schema();
+    bool some_disjunct_free = false;
+    for (const Conjunction& conj : where.disjuncts) {
+      int on_input = 0;
+      for (const PredicateAtom& atom : conj) {
+        on_input += input.FindAttribute(js.attribute_name(atom.column)).ok();
+      }
+      some_disjunct_free = some_disjunct_free || on_input == 0;
+    }
+    EXPECT_EQ(filters[i].IsTrue(), some_disjunct_free) << what << " input "
+                                                       << i << "\n" << sql;
+    if (!filters[i].IsTrue()) {
+      ASSERT_EQ(filters[i].disjuncts.size(), where.disjuncts.size()) << what;
+      for (size_t d = 0; d < where.disjuncts.size(); ++d) {
+        size_t on_input = 0;
+        for (const PredicateAtom& atom : where.disjuncts[d]) {
+          on_input += input.FindAttribute(js.attribute_name(atom.column)).ok();
+        }
+        EXPECT_EQ(filters[i].disjuncts[d].size(), on_input)
+            << what << " input " << i << " disjunct " << d << "\n" << sql;
+      }
+    }
+    for (int r = 0; r < expect.num_rows(); ++r) {
+      EXPECT_TRUE(MatchesPredicate(InputRow(expect.row(r), js, input),
+                                   filters[i]))
+          << what << " input " << i << " drops joined row " << r << "\n"
+          << sql;
+    }
+  }
+
+  auto check = [&](const Result<QueryResult>& got, const std::string& path) {
+    ASSERT_OK(got.status()) << what << " " << path << "\n" << sql;
+    const Table& rows = *got->rows;
+    ASSERT_EQ(rows.num_rows(), expect.num_rows())
+        << what << " " << path << "\n" << sql;
+    for (int r = 0; r < rows.num_rows(); ++r) {
+      if (projection.empty()) {
+        ASSERT_EQ(rows.row(r), expect.row(r))
+            << what << " " << path << " row " << r << "\n" << sql;
+        continue;
+      }
+      for (size_t j = 0; j < projection.size(); ++j) {
+        ASSERT_EQ(rows.row(r)[static_cast<AttributeId>(j)],
+                  expect.row(r)[projection[j]])
+            << what << " " << path << " row " << r << "\n" << sql;
+      }
+    }
+  };
+  LevelSweepGuard guard;
+  for (const simd::Level level : SweepLevels()) {
+    simd::SetLevelForTesting(level);
+    const std::string at = std::string(" level ") + simd::LevelName(level);
+    check(ExecuteReadOnly(db->SnapshotAll(), sql), "snapshot" + at);
+    WriterScope writer;
+    SqlSession session(db);
+    check(session.Execute(sql), "session" + at);
+  }
+}
+
+TEST(DifferentialTest, ExecutorFilteredJoinsMatchJoinThenSelect) {
+  Rng rng(4711);
+  const std::vector<std::string> pool = {"k", "m", "n"};
+  const int cases = ScaledIters(120);
+  for (int iter = 0; iter < cases; ++iter) {
+    const int ways = static_cast<int>(rng.Uniform(2, 4));
+    const int max_rows = ways == 2 ? 14 : (ways == 3 ? 9 : 6);
+    std::vector<Table> tables;
+    Database db;
+    for (int i = 0; i < ways; ++i) {
+      std::vector<std::string> shared;
+      for (const std::string& c : pool) {
+        if (rng.Chance(0.6)) shared.push_back(c);
+      }
+      tables.push_back(RandomJoinInput(
+          &rng, i, shared, static_cast<int>(rng.Uniform(0, max_rows))));
+      WriterScope writer;
+      ASSERT_OK(db.IngestTable(tables.back(), ConstraintSet{}));
+    }
+    auto joined = JoinAll(tables, "t0_join");
+    ASSERT_OK(joined.status());
+    const TableSchema& js = joined->schema();
+
+    // Atoms on join columns, on one input's own columns, and ORs
+    // spanning inputs all come out of a uniform column draw.
+    Predicate where;
+    const int disjuncts = static_cast<int>(rng.Uniform(1, 3));
+    for (int d = 0; d < disjuncts; ++d) {
+      Conjunction conj;
+      const int atoms = static_cast<int>(rng.Uniform(1, 3));
+      for (int a = 0; a < atoms; ++a) {
+        conj.push_back(RandomJoinAtom(
+            &rng, js,
+            static_cast<AttributeId>(rng.Index(js.num_attributes()))));
+      }
+      where.disjuncts.push_back(std::move(conj));
+    }
+    std::vector<AttributeId> projection;
+    if (rng.Chance(0.3)) {
+      for (AttributeId a = js.num_attributes() - 1; a >= 0; --a) {
+        if (rng.Chance(0.5)) projection.push_back(a);
+      }
+    }
+    CheckJoinSelect(&db, tables, where, projection,
+                    "join iter=" + std::to_string(iter) + " ways=" +
+                        std::to_string(ways));
+  }
+}
+
+TEST(DifferentialTest, ExecutorFilteredJoinCorners) {
+  Database db;
+  const Table t = MakeJoinInput(
+      "t", {"k", "a"},
+      {{Value::Int(1), Value::Str("x")},
+       {Value::Null(), Value::Str("y")},
+       {Value::Int(1), Value::Str("x")},
+       {Value::Int(2), Value::Null()},
+       {Value::Null(), Value::Str("y")}});
+  const Table u = MakeJoinInput(
+      "u", {"k", "b"},
+      {{Value::Int(1), Value::Str("p")},
+       {Value::Int(3), Value::Str("q")},
+       {Value::Null(), Value::Str("r")},
+       {Value::Int(1), Value::Null()}});
+  const Table c = MakeJoinInput(
+      "c", {"z"}, {{Value::Str("z1")}, {Value::Str("z2")}, {Value::Null()}});
+  {
+    WriterScope writer;
+    ASSERT_OK(db.IngestTable(t, ConstraintSet{}));
+    ASSERT_OK(db.IngestTable(u, ConstraintSet{}));
+    ASSERT_OK(db.IngestTable(c, ConstraintSet{}));
+  }
+  // Self-join: every column is a join column; duplicates and ⊥ rows
+  // match themselves and each other.
+  CheckJoinSelect(&db, {t, t},
+                  Predicate{{{Cmp(0, CompareOp::kEq, Value::Null())},
+                             {Cmp(1, CompareOp::kEq, Value::Str("x"))}}},
+                  {}, "self-join");
+  // No common columns: the cartesian path, under a WHERE on each side
+  // and an OR across them.
+  CheckJoinSelect(&db, {t, c},
+                  Predicate{{{Cmp(0, CompareOp::kEq, Value::Int(1)),
+                              Cmp(2, CompareOp::kNe, Value::Str("z2"))},
+                             {Cmp(2, CompareOp::kEq, Value::Null())}}},
+                  {}, "cartesian");
+  // A filter that keeps every row of both inputs (joined as they are).
+  CheckJoinSelect(&db, {t, u},
+                  Predicate::And({Cmp(0, CompareOp::kNe, Value::Int(99))}),
+                  {}, "keeps-all");
+  // An empty result: the join value exists on one side only.
+  CheckJoinSelect(&db, {t, u},
+                  Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(3))}),
+                  {}, "empty");
+  // No WHERE at all, and a 3-way join with a projection.
+  CheckJoinSelect(&db, {t, u}, Predicate::True(), {}, "no-where");
+  CheckJoinSelect(&db, {t, u, c},
+                  Predicate::And({In(0, {Value::Int(1), Value::Null()}),
+                                  Cmp(2, CompareOp::kGe, Value::Str("q"))}),
+                  {3, 2, 0}, "3-way projection");
+
+  // An unknown column fails against the joined schema, with the status,
+  // message and offset of binding after the join, on both paths.
+  const std::string where_sql =
+      "SELECT * FROM t NATURAL JOIN u WHERE k = 1 AND nope = 2;";
+  const std::string proj_sql = "SELECT k, nope FROM t NATURAL JOIN u;";
+  for (const std::string& sql : {where_sql, proj_sql}) {
+    int offset = -1;
+    const Result<QueryResult> got =
+        ExecuteReadOnly(db.SnapshotAll(), sql, &offset);
+    ASSERT_FALSE(got.ok()) << sql;
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << sql;
+    EXPECT_EQ(got.status().message(),
+              "no attribute named 'nope' in schema t_join")
+        << sql;
+    EXPECT_EQ(offset, static_cast<int>(sql.find("nope"))) << sql;
+    WriterScope writer;
+    SqlSession session(&db);
+    int live_offset = -1;
+    const Result<QueryResult> live = session.Execute(sql, &live_offset);
+    ASSERT_FALSE(live.ok()) << sql;
+    EXPECT_EQ(live.status().ToString(), got.status().ToString()) << sql;
+    EXPECT_EQ(live_offset, offset) << sql;
   }
 }
 

@@ -3,6 +3,7 @@
 // (AppendRow / UpdateCell / EraseRows), dictionary probing, and the
 // code-bijection equivalence used by the enforcer consistency tests.
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodingBits;
 using testing::Rows;
 using testing::Schema;
 
@@ -248,6 +250,87 @@ TEST(EncodedTableTest, AllocateTargetThenFillMatchesGather) {
   const EncodedTable gathered = enc.GatherRows(rows);
   ASSERT_TRUE(out.EquivalentTo(gathered));
   EXPECT_EQ(out.NullFreeColumns(), gathered.NullFreeColumns());
+}
+
+// GatherRows and AllocateTarget share their source's dictionaries
+// copy-on-write. Each decodes exactly like the rows it took, and a
+// dictionary mutation on either side — minting through AppendRow or
+// UpdateCell, TrimDictionaries, CompactDictionaries — leaves the other
+// side, an earlier snapshot copy and an earlier copy of the mutated
+// side exactly as they were.
+TEST(EncodedTableTest, SharedDictionariesSurviveMutationOfEitherSide) {
+  const TableSchema schema = Schema("abc");
+  const Table table = Rows(schema, {"1xp", "2yq", "3z_", "1yp", "4xq"});
+  const std::vector<int> rows = {4, 0, 0, 2};
+  for (int mutation = 0; mutation < 4; ++mutation) {
+    for (const bool mutate_source : {true, false}) {
+      const std::string what = "mutation " + std::to_string(mutation) +
+                               (mutate_source ? " on source" : " on gather");
+      EncodedTable source(table);
+      const EncodedTable snapshot = source;
+      EncodedTable gathered = source.GatherRows(rows);
+      std::vector<std::pair<const EncodedTable*, AttributeId>> sources;
+      for (AttributeId a = 0; a < 3; ++a) sources.emplace_back(&source, a);
+      EncodedTable target = EncodedTable::AllocateTarget(
+          sources, static_cast<int>(rows.size()));
+      for (AttributeId a = 0; a < 3; ++a) {
+        uint32_t* dst = target.mutable_codes(a);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          dst[i] = source.code(a, rows[i]);
+        }
+      }
+      target.RecountNulls();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        for (AttributeId a = 0; a < 3; ++a) {
+          const Value& want = table.row(rows[i])[a];
+          EXPECT_EQ(gathered.DecodeCode(a, gathered.code(a, i)), want) << what;
+          EXPECT_EQ(target.DecodeCode(a, target.code(a, i)), want) << what;
+        }
+      }
+      ASSERT_TRUE(gathered.BitIdentical(target)) << what;
+
+      EncodedTable& victim = mutate_source ? source : gathered;
+      const EncodedTable earlier = victim;
+      const EncodingBits source_bits(source), snapshot_bits(snapshot),
+          gathered_bits(gathered), target_bits(target),
+          earlier_bits(earlier);
+      switch (mutation) {
+        case 0:  // mints in every column
+          victim.AppendRow(Tuple({Value::Str("9"), Value::Str("w"),
+                                  Value::Str("r")}));
+          break;
+        case 1:  // mints in one column
+          victim.UpdateCell(1, 1, Value::Str("minted"));
+          break;
+        case 2: {  // mint, then trim back to the marks under a copy
+          const std::vector<int> marks = victim.DictionarySizes();
+          victim.AppendRow(Tuple({Value::Str("9"), Value::Str("w"),
+                                  Value::Null()}));
+          const EncodedTable minted = victim;
+          const EncodingBits minted_bits(minted);
+          victim.EraseRows({victim.num_rows() - 1});
+          victim.TrimDictionaries(marks);
+          EXPECT_TRUE(EncodingBits(victim) == earlier_bits) << what;
+          EXPECT_TRUE(EncodingBits(minted) == minted_bits) << what;
+          break;
+        }
+        default:  // a dead code to reclaim, then compact
+          victim.UpdateCell(1, 0, Value::Str("1"));
+          victim.CompactDictionaries();
+          break;
+      }
+      ASSERT_OK(victim.CheckDictionaryOrder()) << what;
+      EXPECT_TRUE(EncodingBits(snapshot) == snapshot_bits) << what;
+      EXPECT_TRUE(EncodingBits(target) == target_bits) << what;
+      EXPECT_TRUE(EncodingBits(earlier) == earlier_bits) << what;
+      if (mutate_source) {
+        EXPECT_TRUE(EncodingBits(gathered) == gathered_bits) << what;
+      } else {
+        EXPECT_TRUE(EncodingBits(source) == source_bits) << what;
+      }
+      EXPECT_TRUE(snapshot.BitIdentical(EncodedTable(table))) << what;
+    }
+  }
 }
 
 TEST(EncodedTableTest, CompactionReclaimsDeadCodesAfterUpdates) {

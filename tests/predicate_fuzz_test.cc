@@ -48,6 +48,7 @@ namespace sqlnf {
 namespace {
 
 using testing::Schema;
+using testing::SqlAtom;
 
 int IterMultiplier() {
   const char* env = std::getenv("SQLNF_DIFF_ITERS");
@@ -245,39 +246,6 @@ std::vector<int> RowMajorSelect(const Table& table, const Predicate& dnf) {
   return out;
 }
 
-
-// One literal as SQL text: NULL, a (possibly negative) integer, or a
-// quoted string with every ' doubled.
-std::string SqlLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  if (v.kind() == Value::Kind::kInt) return std::to_string(v.int_value());
-  std::string out = "'";
-  for (const char c : v.str_value()) {
-    out += c;
-    if (c == '\'') out += '\'';
-  }
-  return out + "'";
-}
-
-std::string SqlAtom(const TableSchema& schema, const PredicateAtom& atom) {
-  static const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
-  std::string out = schema.attribute_name(atom.column);
-  switch (atom.op) {
-    case CompareOp::kBetween:
-      return out + " BETWEEN " + SqlLiteral(atom.value) + " AND " +
-             SqlLiteral(atom.upper);
-    case CompareOp::kIn: {
-      out += " IN (";
-      for (size_t i = 0; i < atom.list.size(); ++i) {
-        out += (i > 0 ? ", " : "") + SqlLiteral(atom.list[i]);
-      }
-      return out + ")";
-    }
-    default:
-      return out + " " + kOps[static_cast<int>(atom.op)] + " " +
-             SqlLiteral(atom.value);
-  }
-}
 
 // `SELECT * FROM T WHERE …` for a DNF: the grammar's AND binds tighter
 // than OR, so the disjuncts need no parentheses. The grammar has no

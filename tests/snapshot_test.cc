@@ -27,6 +27,7 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodingBits;
 using testing::Rows;
 using testing::Schema;
 using testing::Sigma;
@@ -386,6 +387,155 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
   EXPECT_OK(stored->enforcer().CheckInvariants());
   EXPECT_EQ(stored->num_rows(), kSteps);
+}
+
+// Gathers of a snapshot share its dictionaries. The writer's dictionary
+// changes — an INSERT and an UPDATE that mint values, a rolled-back
+// transaction that trims its mints, a VACUUM that compacts — clone a
+// shared dictionary before writing, so the snapshot and a gather taken
+// from it stay exactly as they were.
+TEST(SnapshotTest, GatheredSnapshotColumnsSurviveDictionaryChanges) {
+  WriterScope writer;
+  Database db;
+  TableSchema schema = Schema("ab", "a");
+  ASSERT_OK(db.CreateTable(schema, Sigma(schema, "c<a>")));
+  ASSERT_OK(db.Insert("T", Row({"1", "x"})));
+  ASSERT_OK(db.Insert("T", Row({"2", "y"})));
+  ASSERT_OK(db.Insert("T", Row({"3", nullptr})));
+  ASSERT_OK_AND_ASSIGN(TableSnapshot snap, db.GetSnapshot("T"));
+  const EncodedTable gathered = snap.columns->GatherRows({2, 0});
+  const EncodingBits snap_bits(*snap.columns);
+  const EncodingBits gathered_bits(gathered);
+  auto expect_stable = [&](const char* after) {
+    EXPECT_TRUE(EncodingBits(*snap.columns) == snap_bits) << after;
+    EXPECT_TRUE(EncodingBits(gathered) == gathered_bits) << after;
+  };
+
+  ASSERT_OK(db.Insert("T", Row({"4", "minted-by-insert"})));
+  expect_stable("INSERT");
+  ASSERT_OK(db.Update("T", WhereEq(0, Value::Str("1")), 1,
+                      Value::Str("minted-by-update"))
+                .status());
+  expect_stable("UPDATE");
+  ASSERT_OK(db.Begin());
+  ASSERT_OK(db.Insert("T", Row({"5", "minted-in-txn"})));
+  ASSERT_OK(db.Rollback());
+  expect_stable("ROLLBACK");
+  ASSERT_OK(db.CompactTable("T").status());
+  expect_stable("VACUUM");
+
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
+  EXPECT_OK(stored->enforcer().CheckInvariants());
+  EXPECT_EQ(stored->num_rows(), 4);
+}
+
+// Readers run a filtered NATURAL JOIN through ExecuteReadOnly while the
+// writer commits inserts that mint new values in the join column and
+// in the filter columns of both tables, and rolls back others that
+// mint too. The readers' filtered inputs and join outputs share their
+// snapshot's dictionaries, which the writer must clone, not write,
+// while they are shared. Every reader result must be the oracle's
+// answer on the committed prefix its snapshot holds. Runs under TSan
+// via the `concurrency` ctest label.
+TEST(SnapshotTest, FilteredJoinReadersRaceMintingWriter) {
+  WriterScope writer;
+  constexpr int kBatches = 80;
+  Database db;
+  ASSERT_OK_AND_ASSIGN(TableSchema left,
+                       TableSchema::Make("L", {"k", "a"}, {"k"}));
+  ASSERT_OK_AND_ASSIGN(TableSchema right,
+                       TableSchema::Make("R", {"k", "b"}, {}));
+  ASSERT_OK(db.CreateTable(left, ConstraintSet{}));
+  ASSERT_OK(db.CreateTable(right, ConstraintSet{}));
+
+  // Batch j commits L (k<j>, a<j mod 3>) and R (k<j>, b<j>).
+  auto key = [](int j) { return "k" + std::to_string(j); };
+  auto joined_row = [&](int j) {
+    return Tuple({Value::Str(key(j)), Value::Str("a" + std::to_string(j % 3)),
+                  Value::Str("b" + std::to_string(j))});
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> nonempty{0};
+  const int readers =
+      std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> pool;
+  for (int r = 0; r < readers; ++r) {
+    pool.emplace_back([&, r] {
+      uint32_t seed = 7919u * static_cast<uint32_t>(r + 1);
+      // One last read after the writer is done sees every batch.
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        const std::map<std::string, TableSnapshot> snaps = db.SnapshotAll();
+        const int prefix = snaps.at("L").num_rows();
+        if (snaps.at("R").num_rows() != prefix) {
+          ++failures;
+          return;
+        }
+        seed = seed * 1103515245u + 12345u;
+        const int t = static_cast<int>((seed >> 4) % kBatches);
+        const int u = static_cast<int>((seed >> 12) % kBatches);
+        const int v = static_cast<int>((seed >> 20) % 3);
+        const std::string sql =
+            "SELECT * FROM L NATURAL JOIN R WHERE k = '" + key(t) +
+            "' OR b = 'b" + std::to_string(u) + "' AND a = 'a" +
+            std::to_string(v) + "';";
+        const Result<QueryResult> got = ExecuteReadOnly(snaps, sql);
+        if (!got.ok()) {
+          ++failures;
+          return;
+        }
+        std::vector<int> want;
+        for (int j = 0; j < prefix; ++j) {
+          if (j == t || (j == u && j % 3 == v)) want.push_back(j);
+        }
+        const Table& rows = *got->rows;
+        if (rows.num_rows() != static_cast<int>(want.size())) {
+          ++failures;
+          return;
+        }
+        for (int i = 0; i < rows.num_rows(); ++i) {
+          if (!(rows.row(i) == joined_row(want[i]))) {
+            ++failures;
+            return;
+          }
+        }
+        if (!want.empty()) ++nonempty;
+      }
+    });
+  }
+
+  for (int j = 0; j < kBatches; ++j) {
+    {
+      TransactionGuard txn(&db);
+      ASSERT_OK(txn.begin_status());
+      const Tuple row = joined_row(j);
+      ASSERT_OK(db.Insert("L", Tuple({row[0], row[1]})));
+      ASSERT_OK(db.Insert("R", Tuple({row[0], row[2]})));
+      ASSERT_OK(txn.Commit());
+    }
+    {
+      // Mints that must never show: the guard rolls them back.
+      TransactionGuard txn(&db);
+      ASSERT_OK(txn.begin_status());
+      const std::string n = std::to_string(j);
+      ASSERT_OK(db.Insert(
+          "L", Tuple({Value::Str("kx" + n), Value::Str("ax" + n)})));
+      ASSERT_OK(db.Insert(
+          "R", Tuple({Value::Str("kx" + n), Value::Str("bx" + n)})));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(nonempty.load(), readers);
+
+  for (const char* name : {"L", "R"}) {
+    ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find(name));
+    EXPECT_OK(stored->enforcer().CheckInvariants());
+    EXPECT_EQ(stored->num_rows(), kBatches);
+  }
 }
 
 }  // namespace

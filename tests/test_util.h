@@ -13,6 +13,7 @@
 
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/constraints/parser.h"
+#include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
 #include "sqlnf/engine/predicate.h"
 #include "sqlnf/util/rng.h"
@@ -148,6 +149,64 @@ inline Table RandomInstance(Rng* rng, const TableSchema& schema, int rows,
   }
   return table;
 }
+
+/// One literal as SQL text: NULL, a (possibly negative) integer, or a
+/// quoted string with every ' doubled.
+inline std::string SqlLiteral(const Value& v) {
+  if (v.is_null()) return "NULL";
+  if (v.kind() == Value::Kind::kInt) return std::to_string(v.int_value());
+  std::string out = "'";
+  for (const char c : v.str_value()) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  return out + "'";
+}
+
+/// One predicate atom as SQL text over `schema`'s column names.
+inline std::string SqlAtom(const TableSchema& schema,
+                           const PredicateAtom& atom) {
+  static const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  std::string out = schema.attribute_name(atom.column);
+  switch (atom.op) {
+    case CompareOp::kBetween:
+      return out + " BETWEEN " + SqlLiteral(atom.value) + " AND " +
+             SqlLiteral(atom.upper);
+    case CompareOp::kIn: {
+      out += " IN (";
+      for (size_t i = 0; i < atom.list.size(); ++i) {
+        out += (i > 0 ? ", " : "") + SqlLiteral(atom.list[i]);
+      }
+      return out + ")";
+    }
+    default:
+      return out + " " + kOps[static_cast<int>(atom.op)] + " " +
+             SqlLiteral(atom.value);
+  }
+}
+
+/// What EncodedTable::BitIdentical compares, captured by value — per
+/// column the codes, the ⊥ count and the dictionary in code order — so
+/// a before/after comparison cannot be fooled by storage that the two
+/// sides share copy-on-write.
+struct EncodingBits {
+  std::vector<std::vector<uint32_t>> codes;
+  std::vector<std::vector<Value>> dict;
+  std::vector<int> nulls;
+
+  explicit EncodingBits(const EncodedTable& t) {
+    for (AttributeId c = 0; c < t.num_columns(); ++c) {
+      codes.push_back(t.column(c));
+      std::vector<Value> values;
+      for (int code = 0; code < t.dictionary_size(c); ++code) {
+        values.push_back(t.DecodeCode(c, static_cast<uint32_t>(code)));
+      }
+      dict.push_back(std::move(values));
+      nulls.push_back(t.null_count(c));
+    }
+  }
+  bool operator==(const EncodingBits&) const = default;
+};
 
 }  // namespace sqlnf::testing
 

@@ -4,7 +4,9 @@
 # refactors of the layers under them. The query/validate goldens in
 # tests/golden/ were captured on the contractor corpus before the
 # session/result refactor; the shell goldens (s1-s3, inputs in
-# tests/golden/s*.sql) before the shell moved onto engine/session.h.
+# tests/golden/s*.sql) before the shell moved onto engine/session.h,
+# and s4 (NATURAL JOIN under WHERE) before SELECT filtered each join
+# input ahead of the join.
 # Any diff here means user-visible output changed.
 #
 # Usage: golden_cli_check.sh <sqlnf_binary> <golden_dir>
@@ -85,7 +87,13 @@ shell_case s2 0 < "$work/s2.in"
 # error on stderr, nothing on stdout.
 shell_case s3 1 "$golden/s3.sql" < /dev/null
 
-for case in q1 q2 v1 s1 s2 s3; do
+# s4: NATURAL JOINs under WHERE on stdin — ⊥ and duplicates in the join
+# columns, atoms on a join column, on one side and across sides, a
+# 3-way join, a self-join, unknown columns, and a join inside an open
+# transaction. The unknown-column errors print and the run goes on.
+shell_case s4 0 < "$golden/s4.sql"
+
+for case in q1 q2 v1 s1 s2 s3 s4; do
   if ! diff -u "$golden/$case.txt" "$work/$case.txt"; then
     echo "FAIL: $case output diverged from tests/golden/$case.txt"
     fail=1
