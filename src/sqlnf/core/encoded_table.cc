@@ -7,6 +7,7 @@
 
 #include "sqlnf/core/code_hash_index.h"
 #include "sqlnf/util/parallel.h"
+#include "sqlnf/util/row_shift.h"
 
 namespace sqlnf {
 
@@ -283,17 +284,8 @@ void EncodedTable::EraseRows(const std::vector<int>& rows) {
   if (rows.empty()) return;
   for (AttributeId col : encoded_) {
     Column& c = Detach(col);
-    size_t next_erase = 0;
-    int write = 0;
-    for (int read = 0; read < num_rows_; ++read) {
-      if (next_erase < rows.size() && rows[next_erase] == read) {
-        if (c.codes[read] == kNullCode) --c.null_count;
-        ++next_erase;
-        continue;
-      }
-      c.codes[write++] = c.codes[read];
-    }
-    c.codes.resize(write);
+    for (int row : rows) c.null_count -= c.codes[row] == kNullCode;
+    EraseRowsAt(&c.codes, rows);
   }
   num_rows_ -= static_cast<int>(rows.size());
 }
@@ -302,23 +294,14 @@ void EncodedTable::UneraseRows(const std::vector<int>& rows,
                                const std::vector<Tuple>& tuples) {
   if (rows.empty()) return;
   assert(rows.size() == tuples.size());
-  const int restored = num_rows_ + static_cast<int>(rows.size());
   for (AttributeId col : encoded_) {
     Column& c = Detach(col);
-    std::vector<uint32_t> codes(restored);
-    size_t next_restore = 0;
-    int read = 0;
-    for (int pos = 0; pos < restored; ++pos) {
-      if (next_restore < rows.size() && rows[next_restore] == pos) {
-        codes[pos] = Encode(&c, tuples[next_restore][col]);
-        ++next_restore;
-      } else {
-        codes[pos] = c.codes[read++];
-      }
+    OpenRowsAt(&c.codes, rows, kNullCode);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      c.codes[rows[k]] = Encode(&c, tuples[k][col]);
     }
-    c.codes = std::move(codes);
   }
-  num_rows_ = restored;
+  num_rows_ += static_cast<int>(rows.size());
 }
 
 Table EncodedTable::Decode(const TableSchema& schema) const {
@@ -369,8 +352,10 @@ EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows,
 
 EncodedTable EncodedTable::GatherColumns(const std::vector<AttributeId>& cols,
                                          ThreadPool* pool) const {
-  EncodedTable out(static_cast<int>(cols.size()));
+  EncodedTable out(0);
+  out.encoded_ = AttributeSet::FullSet(static_cast<int>(cols.size()));
   out.num_rows_ = num_rows_;
+  out.columns_.resize(cols.size());
   auto copy_one = [&](size_t j) {
     assert(encoded_.Contains(cols[j]));
     out.columns_[j] = columns_[cols[j]];  // shared copy-on-write
@@ -418,22 +403,6 @@ void EncodedTable::RecountNulls(ThreadPool* pool) {
   } else {
     for (AttributeId col : cols) recount_one(col);
   }
-}
-
-EncodedTable EncodedTable::Concat(const EncodedTable& left,
-                                  const EncodedTable& right) {
-  assert(left.num_rows_ == right.num_rows_);
-  assert(left.encoded_ == AttributeSet::FullSet(left.num_columns()));
-  assert(right.encoded_ == AttributeSet::FullSet(right.num_columns()));
-  EncodedTable out(left.num_columns() + right.num_columns());
-  out.num_rows_ = left.num_rows_;
-  for (int j = 0; j < left.num_columns(); ++j) {
-    out.columns_[j] = left.columns_[j];  // shared copy-on-write
-  }
-  for (int j = 0; j < right.num_columns(); ++j) {
-    out.columns_[left.num_columns() + j] = right.columns_[j];
-  }
-  return out;
 }
 
 std::vector<int> EncodedTable::DistinctRows(ThreadPool* pool) const {

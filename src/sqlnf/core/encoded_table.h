@@ -227,14 +227,15 @@ class EncodedTable {
 
   /// Removes the listed rows (ascending, deduplicated); surviving rows
   /// keep their relative order, ids shift down (the DELETE write path).
+  /// Rows before rows.front() do not move.
   void EraseRows(const std::vector<int>& rows);
 
   /// Inverse of EraseRows — the DELETE rollback. Re-inserts `tuples`
   /// so that tuples[k] lands at row id rows[k] of the RESTORED table
   /// (`rows` ascending, positions in post-restore numbering); survivors
-  /// shift back up preserving order. Values are re-encoded, which
-  /// reproduces their original codes because dictionaries never shrank
-  /// in between.
+  /// shift back up preserving order; rows before rows.front() do not
+  /// move. Values are re-encoded, which reproduces their original codes
+  /// because dictionaries never shrank in between.
   void UneraseRows(const std::vector<int>& rows,
                    const std::vector<Tuple>& tuples);
 
@@ -287,11 +288,6 @@ class EncodedTable {
   /// after direct mutable_codes() writes. Parallel over columns with a
   /// pool.
   void RecountNulls(ThreadPool* pool = nullptr);
-
-  /// Side-by-side concatenation of two fully encoded tables with equal
-  /// row counts: left's columns, then right's (shared copy-on-write).
-  static EncodedTable Concat(const EncodedTable& left,
-                             const EncodedTable& right);
 
   /// Ascending row ids of the first occurrence of each distinct row
   /// (codes compared across all encoded columns) — the dedup behind set

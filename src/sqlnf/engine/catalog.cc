@@ -6,6 +6,25 @@
 
 namespace sqlnf {
 
+namespace {
+
+// The rows an UPDATE or DELETE touches: read off a constraint index
+// when the WHERE pins one's key, else the scan. Both give the same
+// ascending ids (engine/enforcer.h, KEY-PINNED WRITES).
+std::vector<int> MatchRows(const IncrementalEnforcer& enforcer,
+                           const Predicate& where)
+    SQLNF_REQUIRES(writer_thread_role);
+
+std::vector<int> MatchRows(const IncrementalEnforcer& enforcer,
+                           const Predicate& where) {
+  if (std::optional<std::vector<int>> rows = enforcer.SelectPinned(where)) {
+    return std::move(*rows);
+  }
+  return SelectRowsEncoded(enforcer.encoding(), where);
+}
+
+}  // namespace
+
 Tuple StoredTable::DecodeRow(int row) const {
   const EncodedTable& enc = columns();
   std::vector<Value> values;
@@ -194,11 +213,12 @@ Result<int> Database::Update(const std::string& name,
   }
   SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
   const EncodedTable& enc = stored->columns();
+  IncrementalEnforcer& enforcer = stored->enforcer();
   // A value the dictionary has never seen is kMissingCode, which equals
   // no stored code — every matched row then counts as changed.
   const uint32_t want = enc.LookupCode(column, value);
   std::vector<int> changed;
-  for (int i : SelectRowsEncoded(enc, where)) {
+  for (int i : MatchRows(enforcer, where)) {
     if (enc.code(column, i) != want) changed.push_back(i);
   }
   if (changed.empty()) return 0;
@@ -222,7 +242,6 @@ Result<int> Database::Update(const std::string& name,
   // the unchanged rows and the post-images before it. After a violation
   // the rest are re-added unchecked, so the rollback finds every slot
   // indexed. Untouched rows keep their ids — no rebuild, no copy.
-  IncrementalEnforcer& enforcer = stored->enforcer();
   for (int i : changed) enforcer.Remove(i);
   std::optional<Violation> violation;
   for (const UndoRecord& r : statement.ops) {
@@ -250,8 +269,8 @@ Result<int> Database::Delete(const std::string& name,
   MutexLock lock(mu_);
   SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
   SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
-  const std::vector<int> matches =
-      SelectRowsEncoded(stored->columns(), where);
+  IncrementalEnforcer& enforcer = stored->enforcer();
+  const std::vector<int> matches = MatchRows(enforcer, where);
   if (matches.empty()) return 0;
   if (txn_) {
     stored->PinSnapshot(mu_);
@@ -266,8 +285,8 @@ Result<int> Database::Delete(const std::string& name,
   }
   // Unindex the erased rows (while their codes still hold them), then
   // compact the encoding and renumber the survivors in place.
-  for (int i : matches) stored->enforcer().Remove(i);
-  stored->enforcer().CompactAfterErase(matches);
+  for (int i : matches) enforcer.Remove(i);
+  enforcer.CompactAfterErase(matches);
   if (!txn_) stored->MarkDirty(mu_);  // auto-commit
   return static_cast<int>(matches.size());
 }

@@ -239,7 +239,13 @@ class Database {
       SQLNF_REQUIRES(writer_thread_role);
 
   /// UPDATE ... SET column = value WHERE predicate tree, executed on
-  /// codes. Each changed row's post-image goes through the enforcer's
+  /// codes. A WHERE that is one conjunction with a non-⊥ `=` atom on
+  /// every stable column of some constraint index (a certain key on
+  /// NOT NULL columns, say: `k = 'x' AND ...`) finds its rows through
+  /// that index; any other WHERE (OR, IN, ranges, `= NULL`, or no
+  /// index pinned) scans. Both find the same rows
+  /// (engine/enforcer.h, KEY-PINNED WRITES). Each changed row's
+  /// post-image goes through the enforcer's
   /// Check against the unchanged rows and the post-images before it
   /// (NOT NULL included), so the statement is accepted exactly when
   /// its whole post-image satisfies Σ. On violation every changed slot
@@ -249,9 +255,13 @@ class Database {
                      AttributeId column, const Value& value)
       SQLNF_REQUIRES(writer_thread_role);
 
-  /// DELETE FROM ... WHERE predicate tree, executed on codes. Deletes
-  /// cannot violate FDs/keys (they are anti-monotone), so no validation
-  /// is needed. Returns rows removed.
+  /// DELETE FROM ... WHERE predicate tree, executed on codes; the rows
+  /// are found as for Update (through an index when the WHERE pins
+  /// one's key). Deletes cannot violate FDs/keys (they are
+  /// anti-monotone), so no validation is needed. The constraint
+  /// indexes are renumbered in O(index slots + rows) per index, and
+  /// rows before the first deleted one keep their place in every
+  /// column. Returns rows removed.
   Result<int> Delete(const std::string& name, const Predicate& where)
       SQLNF_REQUIRES(writer_thread_role);
 

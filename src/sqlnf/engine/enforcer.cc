@@ -1,11 +1,158 @@
 #include "sqlnf/engine/enforcer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <string>
 
 #include "sqlnf/util/fnv.h"
+#include "sqlnf/util/row_shift.h"
 
 namespace sqlnf {
+
+namespace {
+
+// Renumbers the stored ids of an index after rows are erased or
+// restored. Erased ids (ascending): every id drops by the erased ids
+// below it. Restored positions (ascending, post-restore numbering):
+// every id rises past the restored positions at or below its final
+// position. Up to kFewIds listed rows run one branch-free pass each
+// (`id -= id > e`, or `id += id >= e` in ascending order), which the
+// compiler vectorizes; more build one remap table, indexed from kSkip
+// up, so the negative markers map to themselves in the same gather.
+class IdShift {
+ public:
+  static constexpr size_t kFewIds = 4;
+
+  // `rows` is the listed ids; `live` the row count the stored ids
+  // refer to before the shift.
+  IdShift(const std::vector<int>& rows, bool restore, int live)
+      : rows_(rows), restore_(restore) {
+    if (rows.size() <= kFewIds) return;
+    remap_.resize(static_cast<size_t>(live) + kMarkers);
+    for (int32_t marker = -kMarkers; marker < 0; ++marker) {
+      remap_[marker + kMarkers] = marker;
+    }
+    size_t k = 0;
+    int32_t to = 0;
+    for (int32_t id = 0; id < live; ++id) {
+      if (restore) {
+        while (k < rows.size() && rows[k] == to) ++k, ++to;
+        remap_[id + kMarkers] = to++;
+      } else {
+        while (k < rows.size() && rows[k] < id) ++k;
+        remap_[id + kMarkers] = id - static_cast<int32_t>(k);
+      }
+    }
+  }
+
+  void Apply(std::vector<int32_t>* ids) const {
+    int32_t* p = ids->data();
+    const size_t n = ids->size();
+    if (!remap_.empty()) {
+      const int32_t* remap = remap_.data() + kMarkers;
+      for (size_t i = 0; i < n; ++i) p[i] = remap[p[i]];
+    } else if (restore_) {
+      for (const int e : rows_) {
+        for (size_t i = 0; i < n; ++i) p[i] += p[i] >= e;
+      }
+    } else {
+      for (auto it = rows_.rbegin(); it != rows_.rend(); ++it) {
+        const int e = *it;
+        for (size_t i = 0; i < n; ++i) p[i] -= p[i] > e;
+      }
+    }
+  }
+
+ private:
+  static constexpr int32_t kMarkers = 2;  // kSkip (-2) and kEnd (-1)
+  const std::vector<int>& rows_;
+  bool restore_;
+  std::vector<int32_t> remap_;
+};
+
+}  // namespace
+
+size_t IncrementalEnforcer::Chains::Home(uint64_t hash) const {
+  // Fibonacci hashing: the top bits of hash · φ depend on every bit of
+  // the hash, so codes differing only in high bits still spread.
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+int IncrementalEnforcer::Chains::Find(uint64_t hash) const {
+  if (heads.empty()) return -1;
+  const size_t mask = heads.size() - 1;
+  for (size_t s = Home(hash);; s = (s + 1) & mask) {
+    if (heads[s] == kEnd) return -1;
+    if (keys[s] == hash) return static_cast<int>(s);
+  }
+}
+
+void IncrementalEnforcer::Chains::Append(uint64_t hash, int32_t row) {
+  next[row] = kEnd;
+  const int found = Find(hash);
+  if (found >= 0) {
+    next[tails[found]] = row;
+    tails[found] = row;
+    return;
+  }
+  if (2 * static_cast<size_t>(used + 1) > heads.size()) Grow();
+  const size_t mask = heads.size() - 1;
+  size_t s = Home(hash);
+  while (heads[s] != kEnd) s = (s + 1) & mask;
+  keys[s] = hash;
+  heads[s] = tails[s] = row;
+  ++used;
+}
+
+void IncrementalEnforcer::Chains::Unlink(uint64_t hash, int32_t row) {
+  const int s = Find(hash);
+  assert(s >= 0);
+  int32_t prev = kEnd;
+  for (int32_t at = heads[s]; at != row; at = next[at]) prev = at;
+  (prev == kEnd ? heads[s] : next[prev]) = next[row];
+  if (tails[s] == row) tails[s] = prev;
+  next[row] = kSkip;
+  if (heads[s] == kEnd) EraseSlot(static_cast<size_t>(s));
+}
+
+void IncrementalEnforcer::Chains::EraseSlot(size_t slot) {
+  // Backward shift: walk the probe run after the hole and move back
+  // every entry whose home does not lie cyclically in (hole, entry], so
+  // each stays reachable from its home without tombstones.
+  const size_t mask = heads.size() - 1;
+  size_t hole = slot;
+  for (size_t s = (slot + 1) & mask; heads[s] != kEnd; s = (s + 1) & mask) {
+    if (((s - Home(keys[s])) & mask) >= ((s - hole) & mask)) {
+      keys[hole] = keys[s];
+      heads[hole] = heads[s];
+      tails[hole] = tails[s];
+      hole = s;
+    }
+  }
+  heads[hole] = tails[hole] = kEnd;
+  --used;
+}
+
+void IncrementalEnforcer::Chains::Grow() {
+  const size_t cap = heads.empty() ? 16 : 2 * heads.size();
+  std::vector<uint64_t> old_keys = std::move(keys);
+  std::vector<int32_t> old_heads = std::move(heads);
+  std::vector<int32_t> old_tails = std::move(tails);
+  keys.assign(cap, 0);
+  heads.assign(cap, kEnd);
+  tails.assign(cap, kEnd);
+  shift = 64 - std::countr_zero(cap);
+  const size_t mask = cap - 1;
+  for (size_t old = 0; old < old_heads.size(); ++old) {
+    if (old_heads[old] == kEnd) continue;
+    size_t s = Home(old_keys[old]);
+    while (heads[s] != kEnd) s = (s + 1) & mask;
+    keys[s] = old_keys[old];
+    heads[s] = old_heads[old];
+    tails[s] = old_tails[old];
+  }
+}
 
 IncrementalEnforcer::IncrementalEnforcer(const TableSchema& schema,
                                          const ConstraintSet& sigma)
@@ -97,11 +244,13 @@ std::optional<Violation> IncrementalEnforcer::Check(const Tuple& row,
       }
       if (!can_conflict) continue;
     }
-    auto bucket = index.buckets.find(HashCodes(cand, index.stable));
-    if (bucket == index.buckets.end()) continue;
+    const Chains& chains = index.chains;
+    const int slot = chains.Find(HashCodes(cand, index.stable));
+    if (slot < 0) continue;
     const AttributeSet rest =
         index.similarity_attrs.Difference(index.stable);
-    for (int other_id : bucket->second) {
+    for (int32_t other_id = chains.heads[slot]; other_id != kEnd;
+         other_id = chains.next[other_id]) {
       // Hash collisions: confirm exact code match on the stable columns.
       bool stable_equal = true;
       for (AttributeId a : index.stable) {
@@ -138,8 +287,12 @@ std::optional<Violation> IncrementalEnforcer::Check(const Tuple& row,
 
 void IncrementalEnforcer::IndexRow(int row_id) {
   for (ConstraintIndex& index : indexes_) {
+    std::vector<int32_t>& next = index.chains.next;
+    if (static_cast<size_t>(row_id) >= next.size()) {
+      next.resize(static_cast<size_t>(row_id) + 1, kSkip);
+    }
     if (!ShouldIndex(index, row_id)) continue;
-    index.buckets[HashStoredRow(row_id, index.stable)].push_back(row_id);
+    index.chains.Append(HashStoredRow(row_id, index.stable), row_id);
   }
 }
 
@@ -159,29 +312,26 @@ void IncrementalEnforcer::Add(const Tuple& row, int row_id) {
 void IncrementalEnforcer::Remove(int row_id) {
   // The encoding still holds the pre-image; hash from the stored codes.
   for (ConstraintIndex& index : indexes_) {
-    // Mirror IndexRow(): rows skipped there were never indexed.
-    if (!ShouldIndex(index, row_id)) continue;
-    auto bucket = index.buckets.find(HashStoredRow(row_id, index.stable));
-    if (bucket == index.buckets.end()) continue;
-    auto& ids = bucket->second;
-    auto it = std::find(ids.begin(), ids.end(), row_id);
-    if (it == ids.end()) continue;
-    ids.erase(it);
-    if (ids.empty()) index.buckets.erase(bucket);
+    if (index.chains.next[row_id] == kSkip) continue;  // never indexed
+    index.chains.Unlink(HashStoredRow(row_id, index.stable), row_id);
   }
 }
 
 void IncrementalEnforcer::CompactAfterErase(const std::vector<int>& erased) {
   if (erased.empty()) return;
+  const int before = encoded_.num_rows();
   encoded_.EraseRows(erased);
   for (ConstraintIndex& index : indexes_) {
-    for (auto& [hash, ids] : index.buckets) {
-      for (int& id : ids) {
-        id -= static_cast<int>(
-            std::upper_bound(erased.begin(), erased.end(), id) -
-            erased.begin());
-      }
-    }
+    EraseRowsAt(&index.chains.next, erased);
+  }
+  // When only the tail went (a rejected or rolled-back INSERT), no
+  // stored id lies above an erased one: nothing to renumber.
+  if (erased.front() == encoded_.num_rows()) return;
+  const IdShift shift(erased, /*restore=*/false, before);
+  for (ConstraintIndex& index : indexes_) {
+    shift.Apply(&index.chains.next);
+    shift.Apply(&index.chains.heads);
+    shift.Apply(&index.chains.tails);
   }
 }
 
@@ -189,25 +339,17 @@ void IncrementalEnforcer::Restore(const std::vector<int>& erased,
                                   const std::vector<Tuple>& rows) {
   if (erased.empty()) return;
   assert(erased.size() == rows.size());
-  // survivor_final[c] = the post-restore id of the row currently
-  // numbered c: survivors occupy, in order, the positions NOT being
-  // restored.
-  const int restored =
-      encoded_.num_rows() + static_cast<int>(erased.size());
-  std::vector<int> survivor_final;
-  survivor_final.reserve(encoded_.num_rows());
-  size_t next = 0;
-  for (int pos = 0; pos < restored; ++pos) {
-    if (next < erased.size() && erased[next] == pos) {
-      ++next;
-      continue;
+  // Restored rows at the tail shift no survivor.
+  if (erased.front() != encoded_.num_rows()) {
+    const IdShift shift(erased, /*restore=*/true, encoded_.num_rows());
+    for (ConstraintIndex& index : indexes_) {
+      shift.Apply(&index.chains.next);
+      shift.Apply(&index.chains.heads);
+      shift.Apply(&index.chains.tails);
     }
-    survivor_final.push_back(pos);
   }
   for (ConstraintIndex& index : indexes_) {
-    for (auto& [hash, ids] : index.buckets) {
-      for (int& id : ids) id = survivor_final[id];
-    }
+    OpenRowsAt(&index.chains.next, erased, kSkip);
   }
   encoded_.UneraseRows(erased, rows);
   for (int id : erased) IndexRow(id);
@@ -216,15 +358,63 @@ void IncrementalEnforcer::Restore(const std::vector<int>& erased,
 int IncrementalEnforcer::CompactDictionaries() {
   const std::vector<int> retired = encoded_.CompactDictionaries();
   // Codes may change even when nothing was retired (an unordered
-  // dictionary still canonicalizes), so the code-keyed buckets are
-  // rebuilt from the new codes unconditionally. Bucket contents are a
-  // pure function of the (deterministic) new codes, so two enforcers
-  // with equal decoded contents fingerprint identically afterwards.
-  for (ConstraintIndex& index : indexes_) index.buckets.clear();
+  // dictionary still canonicalizes), so the code-keyed chains are
+  // rebuilt from the new codes unconditionally, rows in ascending
+  // order. Chain contents are a pure function of the (deterministic)
+  // new codes, so two enforcers with equal decoded contents
+  // fingerprint identically afterwards.
+  for (ConstraintIndex& index : indexes_) index.chains = Chains{};
   for (int id = 0; id < encoded_.num_rows(); ++id) IndexRow(id);
   int total = 0;
   for (int r : retired) total += r;
   return total;
+}
+
+std::optional<std::vector<int>> IncrementalEnforcer::SelectPinned(
+    const Predicate& where) const {
+  if (where.disjuncts.size() != 1) return std::nullopt;
+  const Conjunction& conj = where.disjuncts.front();
+  auto pinned_value = [&](AttributeId col) -> const Value* {
+    for (const PredicateAtom& atom : conj) {
+      if (atom.column == col && atom.op == CompareOp::kEq &&
+          !atom.value.is_null()) {
+        return &atom.value;
+      }
+    }
+    return nullptr;
+  };
+  std::vector<uint32_t> codes(encoded_.num_columns());
+  for (const ConstraintIndex& index : indexes_) {
+    if (index.stable.empty()) continue;
+    bool pinned = true;
+    bool absent = false;
+    for (AttributeId a : index.stable) {
+      const Value* value = pinned_value(a);
+      if (value == nullptr) {
+        pinned = false;
+        break;
+      }
+      codes[a] = encoded_.LookupCode(a, *value);
+      absent = absent || codes[a] == EncodedTable::kMissingCode;
+    }
+    if (!pinned) continue;
+    std::vector<int> rows;
+    const Chains& chains = index.chains;
+    const int slot = absent ? -1 : chains.Find(HashCodes(codes, index.stable));
+    if (slot < 0) return rows;
+    // The chain holds every row the atoms on the stable columns allow
+    // (hash collisions included); the whole WHERE decides.
+    const CompiledPredicate compiled(encoded_, where);
+    for (int32_t row = chains.heads[slot]; row != kEnd;
+         row = chains.next[row]) {
+      uint8_t match = 0;
+      compiled.EvalBlock(row, 1, &match);
+      if (match) rows.push_back(row);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+  return std::nullopt;
 }
 
 Status IncrementalEnforcer::CheckInvariants() const {
@@ -264,45 +454,72 @@ Status IncrementalEnforcer::CheckInvariants() const {
       }
     }
   }
-  // Indexes: every row present exactly where it must be, hashed from
-  // its current codes.
+  // Indexes: chain integrity, and every row present exactly where it
+  // must be, hashed from its current codes.
   for (size_t i = 0; i < indexes_.size(); ++i) {
     const ConstraintIndex& index = indexes_[i];
+    const Chains& chains = index.chains;
+    auto breach = [&](const std::string& what) {
+      return Status::Internal("index " + std::to_string(i) + " " + what);
+    };
+    if (chains.next.size() != static_cast<size_t>(n)) {
+      return breach("chain links out of sync with row count");
+    }
+    const size_t cap = chains.heads.size();
+    if (chains.keys.size() != cap || chains.tails.size() != cap ||
+        (cap != 0 && (!std::has_single_bit(cap) ||
+                      chains.shift != 64 - std::countr_zero(cap))) ||
+        2 * static_cast<size_t>(chains.used) > cap) {
+      return breach("head table malformed");
+    }
     std::vector<char> seen(n, 0);
-    for (const auto& [hash, ids] : index.buckets) {
-      if (ids.empty()) {
-        return Status::Internal("index " + std::to_string(i) +
-                                " retains an empty bucket");
+    int used = 0;
+    for (size_t slot = 0; slot < cap; ++slot) {
+      const int32_t head = chains.heads[slot];
+      if (head == kEnd) continue;
+      ++used;
+      const uint64_t hash = chains.keys[slot];
+      // Reachable along its probe sequence: no hole and no other slot of
+      // the same hash between home and here.
+      for (size_t s = chains.Home(hash); s != slot; s = (s + 1) & (cap - 1)) {
+        if (chains.heads[s] == kEnd || chains.keys[s] == hash) {
+          return breach("slot " + std::to_string(slot) +
+                        " is unreachable from its home slot");
+        }
       }
-      for (int id : ids) {
+      int32_t last = kEnd;
+      for (int32_t id = head; id != kEnd; id = chains.next[id]) {
         if (id < 0 || id >= n) {
-          return Status::Internal("index " + std::to_string(i) +
-                                  " holds out-of-range row id " +
-                                  std::to_string(id));
+          return breach("holds out-of-range link " + std::to_string(id));
         }
         if (seen[id]) {
-          return Status::Internal("index " + std::to_string(i) +
-                                  " holds row " + std::to_string(id) +
-                                  " twice");
+          return breach("reaches row " + std::to_string(id) +
+                        " twice (a cycle or a shared link)");
         }
         seen[id] = 1;
+        last = id;
         if (!ShouldIndex(index, id)) {
-          return Status::Internal("index " + std::to_string(i) +
-                                  " holds non-total row " +
-                                  std::to_string(id) +
-                                  " of a strong constraint");
+          return breach("holds non-total row " + std::to_string(id) +
+                        " of a strong constraint");
         }
         if (HashStoredRow(id, index.stable) != hash) {
-          return Status::Internal("index " + std::to_string(i) +
-                                  " files row " + std::to_string(id) +
-                                  " under a stale hash");
+          return breach("files row " + std::to_string(id) +
+                        " under a stale hash");
         }
       }
+      if (chains.tails[slot] != last) {
+        return breach("slot " + std::to_string(slot) +
+                      " has a stale tail");
+      }
     }
+    if (used != chains.used) return breach("miscounts its occupied slots");
     for (int id = 0; id < n; ++id) {
       if (ShouldIndex(index, id) && !seen[id]) {
-        return Status::Internal("index " + std::to_string(i) +
-                                " is missing row " + std::to_string(id));
+        return breach("is missing row " + std::to_string(id));
+      }
+      if (!seen[id] && chains.next[id] != kSkip) {
+        return breach("links row " + std::to_string(id) +
+                      ", which no chain reaches");
       }
     }
   }
@@ -316,15 +533,22 @@ uint64_t IncrementalEnforcer::IndexFingerprint() const {
                 static_cast<uint64_t>(encoded_.dictionary_size(col)));
   }
   for (const ConstraintIndex& index : indexes_) {
-    // Per-bucket digests combined commutatively: bucket iteration order
-    // and within-bucket insertion order are implementation noise, the
-    // (key → id set) mapping is the state.
+    // Per-chain digests combined commutatively: slot order and chain
+    // order are implementation noise, the (hash → id set) mapping is
+    // the state.
+    const Chains& chains = index.chains;
     uint64_t acc = 0;
-    for (const auto& [hash, ids] : index.buckets) {
-      std::vector<int> sorted = ids;
-      std::sort(sorted.begin(), sorted.end());
-      uint64_t h = FnvMix(kFnv64OffsetBasis, hash);
-      for (int id : sorted) h = FnvMix(h, static_cast<uint64_t>(id));
+    std::vector<int> ids;
+    for (size_t slot = 0; slot < chains.heads.size(); ++slot) {
+      if (chains.heads[slot] == kEnd) continue;
+      ids.clear();
+      for (int32_t id = chains.heads[slot]; id != kEnd;
+           id = chains.next[id]) {
+        ids.push_back(id);
+      }
+      std::sort(ids.begin(), ids.end());
+      uint64_t h = FnvMix(kFnv64OffsetBasis, chains.keys[slot]);
+      for (int id : ids) h = FnvMix(h, static_cast<uint64_t>(id));
       acc += h;
     }
     fp = FnvMix(fp, acc);
@@ -333,12 +557,17 @@ uint64_t IncrementalEnforcer::IndexFingerprint() const {
 }
 
 IncrementalEnforcer::IndexStats IncrementalEnforcer::Stats(int index) const {
+  const Chains& chains = indexes_[index].chains;
   IndexStats stats;
-  for (const auto& [hash, ids] : indexes_[index].buckets) {
+  for (size_t slot = 0; slot < chains.heads.size(); ++slot) {
+    if (chains.heads[slot] == kEnd) continue;
+    int length = 0;
+    for (int32_t id = chains.heads[slot]; id != kEnd; id = chains.next[id]) {
+      ++length;
+    }
     ++stats.buckets;
-    stats.indexed_rows += static_cast<int>(ids.size());
-    stats.largest_bucket =
-        std::max(stats.largest_bucket, static_cast<int>(ids.size()));
+    stats.indexed_rows += length;
+    stats.largest_bucket = std::max(stats.largest_bucket, length);
   }
   return stats;
 }

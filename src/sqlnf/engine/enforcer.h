@@ -34,16 +34,53 @@
 // order, so each one meets the unchanged rows and the post-images
 // before it: every pair of rows the statement creates is checked once.
 //
-// Cost: a changed row costs the size of the bucket it probes, per
+// LAYOUT. Each constraint index is flat and row-indexed. Its buckets
+// are chains — one per distinct 64-bit hash of the stable codes —
+// threaded through `next`, one int32 per table row: the chain's
+// following row, kEnd after its last row, or kSkip for a row the index
+// does not hold. An open-addressed head table (linear probing, at most
+// half full, keyed by the full hash) holds each chain's head and tail.
+// A chain lists its rows in the order they were indexed, and an
+// UPDATE's re-add goes to the tail, so Check meets candidates in a
+// fixed order and names the same partner row on every run.
+//
+// Costs, per index:
+//   Add                 O(1) amortized (append at the chain's tail)
+//   Remove              O(chain): unlink; an emptied slot is freed by
+//                       backward shifting, so no tombstones remain
+//   CompactAfterErase   O(head table + rows) for any erased set:
+//                       `next` compacts from the first erased row on,
+//                       then every stored id (heads, tails, links)
+//                       drops by the erased ids below it — one
+//                       branch-free pass per erased id up to a handful,
+//                       one remap gather beyond; nothing when only the
+//                       table's tail went (a rolled-back INSERT)
+//   Restore             the same passes, inverted, plus re-adding the
+//                       restored rows at their chains' tails
+//
+// KEY-PINNED WRITES. SelectPinned answers an UPDATE's or DELETE's WHERE
+// from an index instead of a scan when the WHERE is one conjunction
+// with a non-⊥ `=` atom on every stable column of some index: the
+// literals' codes pick one chain, and each member is confirmed against
+// the whole WHERE, compiled once, so the result is exactly
+// SelectRowsEncoded's (engine/relops.h). This is sound because an
+// index holds every row the WHERE can match. A certain (weak) index
+// holds every row, keyed on NOT NULL columns; a possible (strong)
+// index skips only rows with ⊥ in its key, and a non-⊥ `=` atom on
+// each key column excludes exactly those rows. A literal absent from
+// its column's dictionary matches no row. Readers never come here:
+// snapshots carry no index, and SELECT scans.
+//
+// Cost: a changed row costs the length of the chain it probes, per
 // constraint. A certain constraint whose LHS has no NOT NULL column
-// keeps a single bucket, so a statement that rewrites most of such a
+// keeps a single chain, so a statement that rewrites most of such a
 // table is quadratic in its row count. INSERT has the same cost
 // profile, and no benchmark workload triggers it.
 //
 // Equivalence with the batch semantics is property-tested against
 // constraints/satisfies.h; the encoding's consistency with a
 // from-scratch re-encode is property-tested in enforcer_test. The
-// CheckInvariants() debug hook re-derives the buckets ↔ encoding
+// CheckInvariants() debug hook re-derives the chains ↔ encoding
 // consistency on demand — the differential mutation harness calls it
 // after every operation.
 
@@ -52,13 +89,13 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/constraints/satisfies.h"
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/writer_role.h"
 #include "sqlnf/util/status.h"
 #include "sqlnf/util/thread_annotations.h"
@@ -102,7 +139,9 @@ class IncrementalEnforcer {
   /// Renumbers the indexed row ids after rows `erased` (ascending,
   /// already Remove()d) were deleted from the table, and compacts the
   /// encoding to match: every surviving id drops by the number of
-  /// erased ids below it. O(index entries), no rehashing.
+  /// erased ids below it. O(head table + rows) per index for any
+  /// erased set, in contiguous passes with no rehashing; rows before
+  /// erased.front() do not move.
   void CompactAfterErase(const std::vector<int>& erased)
       SQLNF_REQUIRES(writer_thread_role);
 
@@ -111,8 +150,20 @@ class IncrementalEnforcer {
   /// (`erased` ascending, post-restore numbering): surviving ids shift
   /// back up, the encoding re-inserts the pre-image cells (identical
   /// codes — dictionaries never shrank in between), and the restored
-  /// rows are re-indexed. O(index entries + restored cells).
+  /// rows are re-indexed at their chains' tails. O(head table + rows +
+  /// restored cells) per index.
   void Restore(const std::vector<int>& erased, const std::vector<Tuple>& rows)
+      SQLNF_REQUIRES(writer_thread_role);
+
+  /// The ascending ids of the rows satisfying `where`, read off one
+  /// constraint index, or nullopt when no index applies. An index
+  /// applies when `where` is a single conjunction with a non-⊥ `=` atom
+  /// on every stable column of the index (the first such index in
+  /// index order is used). The chain the atoms' codes hash to is
+  /// walked and each member confirmed against the whole `where`, so
+  /// the result equals SelectRowsEncoded(encoding(), where) — see
+  /// KEY-PINNED WRITES above. Serves Database::Update and Delete only.
+  std::optional<std::vector<int>> SelectPinned(const Predicate& where) const
       SQLNF_REQUIRES(writer_thread_role);
 
   /// Retires dictionary codes minted past the recorded high-water marks
@@ -145,13 +196,16 @@ class IncrementalEnforcer {
   /// Re-derives every invariant the incremental maintenance relies on
   /// and returns Internal with a description on the first breach:
   /// dictionary bijectivity, code ranges and ⊥ counts of the encoding,
-  /// and buckets ↔ encoding consistency per constraint index (each row
+  /// and chains ↔ encoding consistency per constraint index (each row
   /// indexed exactly when it must be, under the hash of its CURRENT
-  /// codes, with no duplicate or out-of-range ids). O(rows · |Σ| +
-  /// dictionary sizes) — a debug hook, not a fast path.
+  /// codes). Chain integrity too: no cycle and no out-of-range link,
+  /// each tail the last link of its chain, kSkip exactly on the rows
+  /// no chain holds, and each occupied slot reachable along its hash's
+  /// probe sequence. O(head tables + rows · |Σ| + dictionary sizes) —
+  /// a debug hook, not a fast path.
   Status CheckInvariants() const;
 
-  /// Order-insensitive digest of the constraint indexes (bucket keys
+  /// Order-insensitive digest of the constraint indexes (bucket hashes
   /// and their id sets) plus the dictionary high-water marks. Two
   /// enforcers over the same history agree; the abort protocol is
   /// tested by fingerprint equality before Begin and after Rollback.
@@ -168,6 +222,34 @@ class IncrementalEnforcer {
   IndexStats Stats(int index) const;
 
  private:
+  // Chain markers in `next`; both negative, so renumbering (which
+  // only moves ids >= 0) passes them through. An empty head-table slot
+  // has head kEnd.
+  static constexpr int32_t kEnd = -1;   // after a chain's last row
+  static constexpr int32_t kSkip = -2;  // row not held by this index
+
+  // One index's chains (see LAYOUT above).
+  struct Chains {
+    std::vector<int32_t> next;   // per row: next row, kEnd or kSkip
+    std::vector<uint64_t> keys;  // per slot: the chain's full hash
+    std::vector<int32_t> heads;  // per slot: first row; kEnd when empty
+    std::vector<int32_t> tails;  // per slot: last row
+    int used = 0;                // occupied slots
+    int shift = 64;              // home slot = (hash · φ) >> shift
+
+    size_t Home(uint64_t hash) const;
+    /// The slot holding `hash`'s chain, or -1.
+    int Find(uint64_t hash) const;
+    /// Links `row` (kSkip until now) at the tail of `hash`'s chain.
+    void Append(uint64_t hash, int32_t row);
+    /// Unlinks `row` from `hash`'s chain, freeing an emptied slot.
+    void Unlink(uint64_t hash, int32_t row);
+    /// Frees `slot` by backward shifting (linear-probing deletion).
+    void EraseSlot(size_t slot);
+    /// Doubles the head table (from 16 slots) and re-homes every chain.
+    void Grow();
+  };
+
   struct ConstraintIndex {
     Constraint constraint;
     AttributeSet similarity_attrs;  // LHS for FDs, attrs for keys
@@ -175,7 +257,7 @@ class IncrementalEnforcer {
     bool strong = false;            // possible (strong) vs certain (weak)
     AttributeSet stable;            // hash attrs: full set when strong,
                                     // similarity_attrs ∩ NFS when weak
-    std::unordered_map<uint64_t, std::vector<int>> buckets;
+    Chains chains;
   };
 
   /// FNV mix of the row's codes on `attrs`; `codes` is one code per
@@ -192,8 +274,9 @@ class IncrementalEnforcer {
   /// constraints skip rows that are not total on the similarity attrs).
   bool ShouldIndex(const ConstraintIndex& index, int row_id) const;
 
-  /// Pushes `row_id` into every index it belongs to, hashed from its
-  /// CURRENT codes (the slot must already hold them).
+  /// Appends `row_id` to the chain of every index it belongs to,
+  /// hashed from its CURRENT codes (the slot must already hold them);
+  /// a new row gets a kSkip entry in every index first.
   void IndexRow(int row_id);
 
   TableSchema schema_;

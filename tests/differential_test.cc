@@ -24,6 +24,7 @@
 // SQLNF_DIFF_ITERS (integer ≥ 1, default 1) multiplies every sweep —
 // the nightly CI job runs the suite with a larger multiplier.
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -39,6 +40,7 @@
 #include "sqlnf/decomposition/encoded_ops.h"
 #include "sqlnf/decomposition/lossless.h"
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/engine/enforcer.h"
 #include "sqlnf/engine/relops.h"
 #include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/validate.h"
@@ -857,6 +859,161 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
                          del_db.Find(schema.name()));
     EXPECT_TRUE(del_ref.SameMultiset(stored->Materialize())) << what;
   }
+}
+
+// --- Executor sweep 2b: key-pinned writes. Database::Update and Delete
+// read the rows of a WHERE that pins a constraint index's key off that
+// index (IncrementalEnforcer::SelectPinned) instead of scanning. On
+// random tables under random Σ — stable sets full (possible
+// constraints, certain ones on NOT NULL columns), partial and empty —
+// whose chains left row order through in-place re-adds and erasures,
+// the probe must apply exactly when the WHERE is one conjunction with
+// a non-⊥ `=` atom on every column of some non-empty stable set, and
+// then return SelectRowsEncoded's rows. The WHEREs mix literals absent
+// from the dictionaries, `= NULL`, repeated and contradictory `=`
+// atoms on one column, IN, `<>` and ranges; an OR falls back to the
+// scan.
+TEST(DifferentialTest, KeyPinnedProbeMatchesScan) {
+  WriterScope writer;
+  Rng rng(424242);
+  const int tables = ScaledIters(80);
+  int full = 0, partial = 0, empty = 0, absent = 0, ors = 0;
+  for (int iter = 0; iter < tables; ++iter) {
+    const int cols = static_cast<int>(rng.Uniform(2, 5));
+    const TableSchema schema = RandomSchema(&rng, cols);
+    const ConstraintSet sigma = testing::RandomSigma(&rng, cols, 1, 2);
+    const Table table =
+        RandomInstance(&rng, schema, static_cast<int>(rng.Uniform(0, 60)),
+                       /*domain=*/3, /*null_rate=*/0.3);
+    const std::string what = "pinned iter=" + std::to_string(iter) + " " +
+                             sigma.ToString(schema);
+
+    // Add() indexes without checking, so the rows need not satisfy Σ
+    // and chains grow long. Re-adds go to their chains' tails.
+    IncrementalEnforcer enforcer(schema, sigma);
+    Table rows = table;
+    for (int r = 0; r < rows.num_rows(); ++r) enforcer.Add(rows.row(r), r);
+    for (int k = 0; k < rows.num_rows() / 3; ++k) {
+      const int r = static_cast<int>(rng.Index(rows.num_rows()));
+      const AttributeId a = static_cast<AttributeId>(rng.Index(cols));
+      Tuple& t = *rows.mutable_row(r);
+      t[a] = !schema.nfs().Contains(a) && rng.Chance(0.3)
+                 ? Value::Null()
+                 : Value::Int(rng.Uniform(0, 2));
+      enforcer.Remove(r);
+      enforcer.Add(t, r);
+    }
+    std::vector<int> erased;
+    for (int r = 0; r < rows.num_rows(); ++r) {
+      if (rng.Chance(0.2)) erased.push_back(r);
+    }
+    for (int r : erased) enforcer.Remove(r);
+    enforcer.CompactAfterErase(erased);
+    ASSERT_OK(enforcer.CheckInvariants()) << what;
+    const EncodedTable& enc = enforcer.encoding();
+
+    // Stable sets in the enforcer's index order: FDs, then keys.
+    std::vector<AttributeSet> stable, similarity;
+    for (const auto& fd : sigma.fds()) {
+      similarity.push_back(fd.lhs);
+      stable.push_back(fd.is_possible() ? fd.lhs
+                                        : fd.lhs.Intersect(schema.nfs()));
+    }
+    for (const auto& key : sigma.keys()) {
+      similarity.push_back(key.attrs);
+      stable.push_back(key.is_possible() ? key.attrs
+                                         : key.attrs.Intersect(schema.nfs()));
+    }
+    for (const AttributeSet& s : stable) empty += s.empty();
+
+    auto literal = [&](AttributeId a) {
+      if (enc.num_rows() > 0 && rng.Chance(0.65)) {
+        const int r = static_cast<int>(rng.Index(enc.num_rows()));
+        return enc.DecodeCode(a, enc.code(a, r));
+      }
+      return rng.Chance(0.4) ? Value::Null() : Value::Int(7);  // 7: absent
+    };
+    auto conjunction = [&]() {
+      Conjunction conj;
+      const AttributeSet& pin = stable[rng.Index(stable.size())];
+      for (AttributeId a : pin) {
+        if (rng.Chance(0.9)) {
+          conj.push_back(Cmp(a, CompareOp::kEq, literal(a)));
+        }
+      }
+      for (int extra = static_cast<int>(rng.Index(3)); extra > 0; --extra) {
+        const AttributeId a = static_cast<AttributeId>(rng.Index(cols));
+        switch (rng.Index(4)) {
+          case 0:  // repeated, possibly contradictory
+            conj.push_back(Cmp(a, CompareOp::kEq, literal(a)));
+            break;
+          case 1:
+            conj.push_back(In(a, {literal(a), literal(a)}));
+            break;
+          case 2:
+            conj.push_back(Cmp(a, CompareOp::kNe, literal(a)));
+            break;
+          default:
+            conj.push_back(
+                Cmp(a, CompareOp::kLe, Value::Int(rng.Uniform(0, 2))));
+            break;
+        }
+      }
+      std::shuffle(conj.begin(), conj.end(), rng.engine());
+      return conj;
+    };
+
+    for (int q = 0; q < 12; ++q) {
+      Predicate where = Predicate::And(conjunction());
+      if (rng.Chance(0.15)) where.disjuncts.push_back(conjunction());
+      std::string sql;
+      for (size_t d = 0; d < where.disjuncts.size(); ++d) {
+        sql += d > 0 ? " OR " : "";
+        for (size_t i = 0; i < where.disjuncts[d].size(); ++i) {
+          sql += (i > 0 ? " AND " : "") +
+                 SqlAtom(schema, where.disjuncts[d][i]);
+        }
+      }
+      // The first index every stable column of which the WHERE pins.
+      int used = -1;
+      for (size_t i = 0; where.disjuncts.size() == 1 && i < stable.size() &&
+                         used < 0;
+           ++i) {
+        bool pinned = !stable[i].empty();
+        for (AttributeId a : stable[i]) {
+          bool eq = false;
+          for (const PredicateAtom& atom : where.disjuncts[0]) {
+            eq = eq || (atom.column == a && atom.op == CompareOp::kEq &&
+                        !atom.value.is_null());
+          }
+          pinned = pinned && eq;
+        }
+        if (pinned) used = static_cast<int>(i);
+      }
+      const std::optional<std::vector<int>> got = enforcer.SelectPinned(where);
+      ASSERT_EQ(got.has_value(), used >= 0) << what << "\nWHERE " << sql;
+      ors += where.disjuncts.size() > 1;
+      if (!got) continue;
+      EXPECT_EQ(*got, SelectRowsEncoded(enc, where))
+          << what << "\nWHERE " << sql;
+      (stable[used] == similarity[used] ? full : partial) += 1;
+      for (const PredicateAtom& atom : where.disjuncts[0]) {
+        if (stable[used].Contains(atom.column) &&
+            atom.op == CompareOp::kEq &&
+            enc.LookupCode(atom.column, atom.value) ==
+                EncodedTable::kMissingCode) {
+          ++absent;
+          break;
+        }
+      }
+    }
+  }
+  // Every kind of stable set and WHERE the comment names came up.
+  EXPECT_GT(full, 0);
+  EXPECT_GT(partial, 0);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(absent, 0);
+  EXPECT_GT(ors, 0);
 }
 
 // --- Executor sweep 3: the Database columnar DML end to end. With an

@@ -153,5 +153,100 @@ TEST(EnforcerTest, EncodingStaysConsistentAcrossWriteWorkload) {
   }
 }
 
+// The constraint indexes' state after one fixed history, pinned to
+// literals: inserts under a certain FD, a certain key and a possible
+// key (⊥ in the nullable key columns, so the possible key skips rows
+// and the certain key's bucket is its NOT NULL column alone), UPDATEs,
+// a bulk DELETE, a rolled-back transaction and a VACUUM. The literals
+// were captured from the node-based index the flat chains replaced;
+// the (hash → id set) mapping is the same, so IndexFingerprint, Stats
+// and the partner row each rejection names are too.
+TEST(EnforcerTest, IndexStatePinnedAcrossFixedHistory) {
+  WriterScope writer;
+  const TableSchema schema = Schema("abcd", "a");
+  Database db;
+  ASSERT_OK(db.CreateTable(schema, Sigma(schema, "ac ->w d; c<ab>; p<bc>")));
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
+  const IncrementalEnforcer& enforcer = stored->enforcer();
+  auto state = [&] {
+    std::string out = std::to_string(stored->num_rows()) + " rows, fp " +
+                      std::to_string(enforcer.IndexFingerprint());
+    for (int i = 0; i < enforcer.num_indexes(); ++i) {
+      const IncrementalEnforcer::IndexStats s = enforcer.Stats(i);
+      out += " | " + std::to_string(s.buckets) + "/" +
+             std::to_string(s.largest_bucket) + "/" +
+             std::to_string(s.indexed_rows);
+    }
+    return out;
+  };
+  auto outcome = [](const Status& st) {
+    return st.ok() ? std::string("ok") : st.message();
+  };
+
+  int accepted = 0;
+  for (int i = 0; i < 600; ++i) {
+    const Value b =
+        i % 11 == 0 ? Value::Null() : Value::Int(i / 150 + 4 * (i % 2));
+    const Value c = i % 7 == 0 ? Value::Null() : Value::Int(i % 97);
+    const Value d = Value::Str(i % 23 == 0 ? "x" : "d" + std::to_string(i % 5));
+    accepted += db.Insert("T", Tuple({Value::Int(i % 150), b, c, d})).ok();
+  }
+  EXPECT_EQ(accepted, 507);
+  EXPECT_EQ(state(),
+            "507 rows, fp 13024557354638250216 | 150/4/507 | 150/4/507 | "
+            "426/1/426");
+
+  std::string updates;
+  updates += outcome(
+      db.Update("T", WhereEq(0, Value::Int(5)), 2, Value::Int(40)).status());
+  updates += "; " + outcome(db.Update("T", WhereEq(1, Value::Null()), 3,
+                                      Value::Str("dz"))
+                                .status());
+  updates += "; " + outcome(
+      db.Update("T", WhereEq(2, Value::Int(3)), 1, Value::Int(9)).status());
+  updates += "; " + outcome(
+      db.Update("T", WhereEq(0, Value::Int(17)), 0, Value::Int(18)).status());
+  updates += "; " + outcome(db.Insert(
+      "T", Tuple({Value::Int(140), Value::Null(), Value::Int(1),
+                  Value::Str("d0")})));
+  EXPECT_EQ(updates,
+            "UPDATE rejected: rows 137 and 5 violate p<{b,c}>; ok; "
+            "UPDATE rejected: rows 3 and 100 violate p<{b,c}>; "
+            "UPDATE rejected: rows 164 and 17 violate {a,c} ->w {d}; "
+            "INSERT rejected: rows 140 and 507 violate c<{a,b}>");
+
+  ASSERT_OK_AND_ASSIGN(
+      const int deleted,
+      db.Delete("T", Predicate::And({Cmp(0, CompareOp::kLt, Value::Int(60))})));
+  EXPECT_GE(deleted, 100);
+  const std::string after_delete = state();
+  EXPECT_EQ(after_delete,
+            "304 rows, fp 11931219597302206328 | 90/4/304 | 90/4/304 | "
+            "254/1/254");
+
+  ASSERT_OK(db.Begin());
+  ASSERT_OK_AND_ASSIGN(
+      const int bulk,
+      db.Delete("T", Predicate::And({Cmp(0, CompareOp::kGe, Value::Int(90))})));
+  EXPECT_GE(bulk, 100);
+  ASSERT_OK(db.Insert("T", Tuple({Value::Int(1000), Value::Int(7),
+                                  Value::Int(7), Value::Str("new")})));
+  ASSERT_OK(
+      db.Update("T", WhereEq(0, Value::Int(130)), 3, Value::Str("moved"))
+          .status());
+  ASSERT_OK(db.Rollback());
+  EXPECT_EQ(state(), after_delete);
+  ASSERT_OK(enforcer.CheckInvariants());
+
+  ASSERT_OK(db.CompactTable("T").status());
+  EXPECT_EQ(state(),
+            "304 rows, fp 6118777059316795403 | 90/4/304 | 90/4/304 | "
+            "254/1/254");
+  EXPECT_EQ(outcome(db.Insert("T", Tuple({Value::Int(100), Value::Null(),
+                                          Value::Int(2), Value::Str("q")}))),
+            "INSERT rejected: rows 40 and 304 violate c<{a,b}>");
+  ASSERT_OK(enforcer.CheckInvariants());
+}
+
 }  // namespace
 }  // namespace sqlnf

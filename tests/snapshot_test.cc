@@ -6,6 +6,7 @@
 // schedule. The multi-threaded sections carry the `concurrency` ctest
 // label and run under TSan in CI.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -536,6 +537,125 @@ TEST(SnapshotTest, FilteredJoinReadersRaceMintingWriter) {
     EXPECT_OK(stored->enforcer().CheckInvariants());
     EXPECT_EQ(stored->num_rows(), kBatches);
   }
+}
+
+// Readers look keys up through ExecuteReadOnly while the writer loops
+// the front-door rw transaction: 8 UPDATEs by key, an INSERT of a
+// fresh key and a DELETE of the previous one by key — statements whose
+// rows the writer finds through the certain key's index, and whose
+// DELETE renumbers it. Some transactions commit, others roll back.
+// Every read must return exactly one row for a base key and at most
+// one for a fresh key, each with a status some committed transaction
+// (or the initial load) wrote. Runs under TSan via the `concurrency`
+// ctest label.
+TEST(SnapshotTest, KeyLookupReadersRaceKeyPinnedWriter) {
+  WriterScope writer;
+  constexpr int kKeys = 200;
+  constexpr int kTxns = 60;
+  Database db;
+  ASSERT_OK_AND_ASSIGN(TableSchema schema,
+                       TableSchema::Make("K", {"k", "city", "s"}, {"k"}));
+  ASSERT_OK(db.CreateTable(schema, Sigma(schema, "c<k>")));
+  auto key = [](int i) { return "k" + std::to_string(1000 + i); };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_OK(db.Insert("K", Row({key(i).c_str(), "c", "s0"})));
+  }
+
+  // committed[j] is set before transaction j commits, so a reader that
+  // sees its writes also sees the flag.
+  std::vector<std::atomic<bool>> committed(kTxns);
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> reads{0};
+  auto committed_status = [&](const Value& v) {
+    if (v.is_null() || v.kind() != Value::Kind::kString) return false;
+    const std::string& text = v.str_value();
+    if (text == "s0") return true;
+    if (text.size() < 2 || text[0] != 't') return false;
+    const int j = std::stoi(text.substr(1));
+    return j >= 0 && j < kTxns && committed[j].load();
+  };
+  const int readers =
+      std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> pool;
+  for (int r = 0; r < readers; ++r) {
+    pool.emplace_back([&, r] {
+      uint32_t seed = 104729u * static_cast<uint32_t>(r + 1);
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        seed = seed * 1103515245u + 12345u;
+        const int pick = static_cast<int>((seed >> 8) % (kKeys + 2));
+        const bool fresh = pick >= kKeys;
+        const std::string k =
+            fresh ? "f" + std::to_string(pick - kKeys) : key(pick);
+        const Result<QueryResult> got = ExecuteReadOnly(
+            db.SnapshotAll(), "SELECT s FROM K WHERE k = '" + k + "';");
+        if (!got.ok()) {
+          ++failures;
+          return;
+        }
+        const Table& rows = *got->rows;
+        if (rows.num_rows() > 1 || (!fresh && rows.num_rows() != 1) ||
+            (rows.num_rows() == 1 && !committed_status(rows.row(0)[0]))) {
+          ++failures;
+          return;
+        }
+        ++reads;
+      }
+    });
+  }
+
+  SqlSession session(&db);
+  int live_fresh = -1;  // the committed fresh key, if any
+  uint32_t seed = 7u;
+  for (int j = 0; j < kTxns; ++j) {
+    ASSERT_OK(session.Execute("BEGIN;").status());
+    std::vector<int> ids;
+    while (ids.size() < 8) {
+      seed = seed * 1664525u + 1013904223u;
+      const int id = static_cast<int>((seed >> 8) % kKeys);
+      if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
+        ids.push_back(id);
+      }
+    }
+    for (int id : ids) {
+      ASSERT_OK_AND_ASSIGN(
+          const QueryResult updated,
+          session.Execute("UPDATE K SET s = 't" + std::to_string(j) +
+                          "' WHERE k = '" + key(id) + "';"));
+      EXPECT_EQ(updated.affected, 1);
+    }
+    const int fresh = live_fresh == 0 ? 1 : 0;
+    ASSERT_OK(session
+                  .Execute("INSERT INTO K VALUES ('f" + std::to_string(fresh) +
+                           "', 'c', 't" + std::to_string(j) + "');")
+                  .status());
+    if (live_fresh >= 0) {
+      ASSERT_OK_AND_ASSIGN(
+          const QueryResult deleted,
+          session.Execute("DELETE FROM K WHERE k = 'f" +
+                          std::to_string(live_fresh) + "';"));
+      EXPECT_EQ(deleted.affected, 1);
+    }
+    if (j % 3 == 1) {
+      ASSERT_OK(session.Execute("ROLLBACK;").status());
+    } else {
+      committed[j].store(true);
+      ASSERT_OK(session.Execute("COMMIT;").status());
+      live_fresh = fresh;
+    }
+  }
+  // On a loaded machine the writer can finish before any reader runs.
+  while (reads.load() == 0 && failures.load() == 0) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("K"));
+  EXPECT_OK(stored->enforcer().CheckInvariants());
+  EXPECT_EQ(stored->num_rows(), kKeys + 1);
 }
 
 }  // namespace
