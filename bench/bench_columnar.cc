@@ -5,7 +5,7 @@
 //
 //   * the Theorem-11 round trip: project onto the VRNF components and
 //     fold the equality join back (JoinComponents vs
-//     JoinComponentsEncoded at 1 and 4 threads),
+//     JoinComponentsEncoded),
 //   * point scans by city (SelectWhere vs SelectRowsEncoded + gather),
 //   * group fact updates (UpdateWhere vs Database::Update, the catalog's
 //     UPDATE on codes with the λ-FDs checked on the changed rows).
@@ -14,14 +14,8 @@
 // separately; in the engine the enforcer maintains the encoding
 // incrementally, so queries never pay it. The shape check requires the
 // encoded join to be at least 2× faster than the row-major join AND
-// every result multiset-identical.
-//
-// E15 — morsel-join thread scaling: the same Theorem-11 join swept over
-// thread counts {1, 2, 4, 8}. Every parallel run must reproduce the
-// serial run code for code (the morsel pipeline's determinism
-// contract); when the machine has ≥ 4 hardware threads the 4-thread
-// join must additionally be ≥ 2.5× faster than serial (skipped with a
-// note otherwise — scaling can't be measured without cores).
+// every result multiset-identical. Every operator runs serially on
+// the calling thread, as the executor always does.
 //
 // E17 — order-preserving range/IN/OR scans: WHERE predicates over the
 // sequence column (`new` ∈ 1..1000, uniform) at 0.1% / 1% / 50%
@@ -31,8 +25,7 @@
 // fallback that decodes every tested cell and evaluates the predicate
 // row-major (what the scan would cost without order-aware
 // dictionaries). Identical selection vectors required; the shape gate
-// demands the compiled scan ≥ 4× the fallback at 1% selectivity —
-// core-count independent, both sides are single-threaded.
+// demands the compiled scan ≥ 4× the fallback at 1% selectivity.
 //
 // E19 — the explicit SIMD kernel layer: every core/simd_kernels.h
 // kernel timed per dispatch level (scalar → simd128 → avx2, as far as
@@ -55,8 +48,8 @@
 // SelectRowsEncoded. The gate requires the decoded rows to match in
 // order and the SQL path to be ≥ 10× faster (medians of 9).
 //
-// `bench_columnar --check` runs ONLY the E19 and E20 sections (fast,
-// for CI).
+// `bench_columnar --check` runs ONLY the E19 and E20 sections (fast);
+// CI's scalar-forced job runs the whole check.
 //
 // Timings are also emitted machine-readably to BENCH_columnar.json,
 // BENCH_rangescan.json, and BENCH_simd.json in the working directory:
@@ -70,7 +63,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -128,22 +120,6 @@ void WriteJson(const char* path, const std::vector<BenchRecord>& records) {
   std::fprintf(f, "]\n");
   std::fclose(f);
   std::printf("wrote %zu records to %s\n", records.size(), path);
-}
-
-/// Code-for-code equality — the determinism check between a serial and
-/// a parallel run of the same join (stronger than multiset equality).
-bool BitIdentical(const EncodedRelation& a, const EncodedRelation& b) {
-  if (a.schema.num_attributes() != b.schema.num_attributes() ||
-      a.columns.num_rows() != b.columns.num_rows()) {
-    return false;
-  }
-  for (AttributeId col = 0; col < a.schema.num_attributes(); ++col) {
-    if (a.schema.attribute_name(col) != b.schema.attribute_name(col) ||
-        a.columns.column(col) != b.columns.column(col)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // --- E19: the SIMD kernel layer, per kernel × per dispatch level.
@@ -237,10 +213,6 @@ int RunSimdE19() {
        [&](simd::Level l) {
          std::memset(match.data(), 0, kN);
          simd::OrBytes(l, src_bytes.data(), kN, match.data());
-       }},
-      {"count_bytes",
-       [&](simd::Level l) {
-         sink += simd::CountBytes(l, src_bytes.data(), kN);
        }},
       {"compress_store",
        [&](simd::Level l) {
@@ -477,35 +449,20 @@ int Run() {
   double row_join_ms = TimeMs(
       [&] { row_joined = ValueOrDie(JoinComponents(big, d), "row join"); });
 
-  // E15: the same encoded join swept over thread counts; index 0 is the
-  // serial reference every parallel run must reproduce bit for bit.
-  const std::vector<int> kJoinThreads = {1, 2, 4, 8};
-  std::vector<double> enc_join_ms(kJoinThreads.size());
-  std::vector<EncodedRelation> enc_joined;
-  for (size_t t = 0; t < kJoinThreads.size(); ++t) {
-    std::optional<EncodedRelation> r;
-    enc_join_ms[t] = TimeMs([&] {
-      r = ValueOrDie(JoinComponentsEncoded(big.schema(), *enc, d,
-                                           ParallelOptions{kJoinThreads[t]}),
-                     "encoded join");
-    });
-    enc_joined.push_back(std::move(*r));
-  }
+  std::optional<EncodedRelation> enc_joined;
+  double enc_join_ms = TimeMs([&] {
+    enc_joined = ValueOrDie(JoinComponentsEncoded(big.schema(), *enc, d),
+                            "encoded join");
+  });
 
-  bool join_deterministic = true;
-  for (size_t t = 1; t < enc_joined.size(); ++t) {
-    join_deterministic =
-        join_deterministic && BitIdentical(enc_joined[0], enc_joined[t]);
-  }
   // Both executors emit the declaration-order column layout, so the
   // columns align positionally; compare the multisets on codes.
   const bool join_same =
-      SameMultisetEncoded(EncodedTable(*row_joined), enc_joined[0].columns) &&
-      join_deterministic;
+      SameMultisetEncoded(EncodedTable(*row_joined), enc_joined->columns);
   const bool lossless =
       ValueOrDie(IsLosslessForInstanceEncoded(big.schema(), *enc, d),
                  "lossless") &&
-      enc_joined[0].columns.num_rows() == big.num_rows();
+      enc_joined->columns.num_rows() == big.num_rows();
 
   // --- point scans: all rows of one city, 100 rounds.
   auto city_value = [](int g1) {
@@ -674,31 +631,14 @@ int Run() {
     std::snprintf(c, sizeof(c), "%.1fx", lhs / rhs);
     tt.AddRow({label, a, b, c});
   };
-  add_row("Theorem-11 project+join", row_join_ms, enc_join_ms[0]);
-  for (size_t t = 1; t < kJoinThreads.size(); ++t) {
-    char label[48];
-    std::snprintf(label, sizeof(label), "Theorem-11 project+join (%d threads)",
-                  kJoinThreads[t]);
-    add_row(label, row_join_ms, enc_join_ms[t]);
-  }
+  add_row("Theorem-11 project+join", row_join_ms, enc_join_ms);
   add_row("100 point scans by city", row_scan_ms, enc_scan_ms);
   add_row("20 group fact updates", row_update_ms, enc_update_ms);
   std::printf("%s\n", tt.ToString().c_str());
   std::printf("results multiset-identical: join %s, scans %s, updates %s; "
-              "join bit-identical across threads {1,2,4,8}: %s; "
               "Theorem-11 round trip lossless: %s\n",
               join_same ? "yes" : "NO", scan_same ? "yes" : "NO",
-              update_same ? "yes" : "NO", join_deterministic ? "yes" : "NO",
-              lossless ? "yes" : "NO");
-
-  // E15 scaling summary.
-  std::printf("\nE15 morsel-join thread scaling (serial %.1f ms):\n",
-              enc_join_ms[0]);
-  for (size_t t = 1; t < kJoinThreads.size(); ++t) {
-    std::printf("  %d threads: %.1f ms (%.2fx over serial)\n",
-                kJoinThreads[t], enc_join_ms[t],
-                enc_join_ms[0] / enc_join_ms[t]);
-  }
+              update_same ? "yes" : "NO", lossless ? "yes" : "NO");
 
   // E17 range/IN/OR scan summary.
   std::printf("\nE17 range/IN/OR scans (%d rounds each):\n", kScanRounds);
@@ -727,10 +667,7 @@ int Run() {
   std::vector<BenchRecord> records;
   records.push_back({"encode", rows, 1, encode_ms * 1e6});
   records.push_back({"join_row_major", rows, 1, row_join_ms * 1e6});
-  for (size_t t = 0; t < kJoinThreads.size(); ++t) {
-    records.push_back(
-        {"join_encoded", rows, kJoinThreads[t], enc_join_ms[t] * 1e6});
-  }
+  records.push_back({"join_encoded", rows, 1, enc_join_ms * 1e6});
   records.push_back({"scan_row_major", rows, 1, row_scan_ms * 1e6 / 100});
   records.push_back({"scan_encoded", rows, 1, enc_scan_ms * 1e6 / 100});
   records.push_back({"update_row_major", rows, 1, row_update_ms * 1e6 / 20});
@@ -751,10 +688,9 @@ int Run() {
   }
   WriteJson("BENCH_rangescan.json", range_records);
 
-  // The E17 gate: both sides single-threaded, so it holds on any core
-  // count — the compiled interval scan does one branch-free compare
-  // per cell while the fallback pays a dictionary decode + Value
-  // comparison per cell.
+  // The E17 gate: the compiled interval scan does one branch-free
+  // compare per cell while the fallback pays a dictionary decode +
+  // Value comparison per cell.
   const bool range_ok = range_same && range_gate_speedup >= 4.0;
   std::printf("E17 shape check (identical selections, compiled range scan "
               "≥4x decode-per-row at 1%% selectivity, got %.1fx): %s\n",
@@ -764,25 +700,12 @@ int Run() {
   const bool simd_ok = RunSimdE19() == 0;
   const bool selective_join_ok = RunSelectiveJoinE20() == 0;
 
-  bool ok = join_same && scan_same && update_same && lossless && range_ok &&
-            simd_ok && selective_join_ok &&
-            row_join_ms / enc_join_ms[0] >= 2.0;
-  // The parallel-speedup gate needs real cores; on a smaller machine it
-  // is reported but not enforced.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 4) {
-    const double scaling = enc_join_ms[0] / enc_join_ms[2];  // 4 threads
-    ok = ok && scaling >= 2.5;
-    std::printf("shape check (columnar join ≥2× row-major, 4-thread join "
-                "≥2.5× serial, identical results): %s\n",
-                ok ? "OK" : "FAILED");
-  } else {
-    std::printf("4-thread scaling gate skipped: only %u hardware threads\n",
-                hw);
-    std::printf("shape check (columnar join ≥2× row-major, identical "
-                "results): %s\n",
-                ok ? "OK" : "FAILED");
-  }
+  const bool ok = join_same && scan_same && update_same && lossless &&
+                  range_ok && simd_ok && selective_join_ok &&
+                  row_join_ms / enc_join_ms >= 2.0;
+  std::printf("shape check (columnar join ≥2× row-major, identical "
+              "results): %s\n",
+              ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 
@@ -791,8 +714,7 @@ int Run() {
 
 int main(int argc, char** argv) {
   // `--check` runs only the E19 kernel gate (fast; skips its perf bar
-  // without AVX2) and the E20 selective-join gate — the scalar-forced
-  // CI leg uses it.
+  // without AVX2) and the E20 selective-join gate.
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) {
     const int simd = sqlnf::RunSimdE19();
     const int join = sqlnf::RunSelectiveJoinE20();

@@ -13,7 +13,6 @@
 // enforcer invariants, and the last published snapshot bit-identical
 // to the live encoding.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -50,13 +49,6 @@ struct BenchRecord {
   double ops_per_sec = 0;
   double p99_us = 0;
 };
-
-double Percentile(std::vector<double>* xs, double p) {
-  if (xs->empty()) return 0;
-  std::sort(xs->begin(), xs->end());
-  size_t i = static_cast<size_t>(p * static_cast<double>(xs->size() - 1));
-  return (*xs)[i];
-}
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(

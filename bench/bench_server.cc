@@ -15,7 +15,6 @@
 // lock, so worker threads must scale (ISSUE acceptance criterion).
 // `--check` runs the same sweep on a shorter clock for CI.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -48,13 +47,6 @@ struct BenchRecord {
   double p50_us = 0;
   double p99_us = 0;
 };
-
-double Percentile(std::vector<double>* xs, double p) {
-  if (xs->empty()) return 0;
-  std::sort(xs->begin(), xs->end());
-  size_t i = static_cast<size_t>(p * static_cast<double>(xs->size() - 1));
-  return (*xs)[i];
-}
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(

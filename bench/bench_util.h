@@ -1,13 +1,15 @@
-// Shared helpers for the benchmark harness: wall-clock timing for the
-// table-reproduction benches and random-input builders for the
-// google-benchmark scaling sweeps.
+// Shared helpers for the benchmark harness: wall-clock timing and
+// percentiles for the table-reproduction benches and random-input
+// builders for the google-benchmark scaling sweeps.
 
 #ifndef SQLNF_BENCH_BENCH_UTIL_H_
 #define SQLNF_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/util/rng.h"
@@ -37,6 +39,15 @@ template <typename T>
 T ValueOrDie(Result<T> result, const char* what) {
   CheckOk(result.status(), what);
   return std::move(result).value();
+}
+
+/// The p-quantile (p in [0, 1]) of `xs` by lower nearest rank: sorts
+/// `xs` in place and returns element floor(p · (n − 1)); 0 when empty.
+inline double Percentile(std::vector<double>* xs, double p) {
+  if (xs->empty()) return 0;
+  std::sort(xs->begin(), xs->end());
+  size_t i = static_cast<size_t>(p * static_cast<double>(xs->size() - 1));
+  return (*xs)[i];
 }
 
 /// Random schema of n attributes named a0..a{n-1} with a random NFS.

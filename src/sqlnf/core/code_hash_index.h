@@ -1,6 +1,6 @@
 // CodeHashIndex: a flat CSR-layout hash index over code-column keys —
-// the build side of the morsel-driven equality join and the grouping
-// structure behind parallel distinct-row emission.
+// the build side of the equality join and the grouping structure
+// behind distinct-row emission and the batch validators.
 //
 // Instead of an unordered_map<hash, vector<row>> (one heap allocation
 // per bucket, pointer-chasing probes, serial build), the index is three
@@ -17,8 +17,8 @@
 // the fill pass scatters row ids with no synchronization. Because the
 // cursors are ordered chunk-major within each bucket and chunks cover
 // ascending row ranges, every bucket lists its rows in ascending order
-// regardless of the thread count — which is what makes the join's
-// probe output bit-identical to serial.
+// regardless of the thread count — which is what fixes the join's
+// right-row order and the validators' witness.
 //
 // Hash collisions are NOT resolved here: a bucket may mix genuinely
 // different keys, and callers confirm equality on the key codes (the

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "sqlnf/core/code_hash_index.h"
-#include "sqlnf/util/parallel.h"
 #include "sqlnf/util/row_shift.h"
 
 namespace sqlnf {
@@ -321,16 +320,12 @@ Table EncodedTable::Decode(const TableSchema& schema) const {
   return out;
 }
 
-EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows,
-                                      ThreadPool* pool) const {
+EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows) const {
   // Unencoded columns stay shared (they hold no rows); each encoded one
   // is replaced by a fresh code vector over the source's dictionary.
   EncodedTable out(*this);
   out.num_rows_ = static_cast<int>(rows.size());
-  std::vector<AttributeId> cols;
-  cols.reserve(encoded_.size());
-  for (AttributeId col : encoded_) cols.push_back(col);
-  auto gather_one = [&](AttributeId col) {
+  for (AttributeId col : encoded_) {
     const Column& src = *columns_[col];
     auto dst = std::make_shared<Column>(src.dict);
     dst->codes.resize(rows.size());
@@ -340,31 +335,19 @@ EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows,
       dst->codes[i] = code;
     }
     out.columns_[col] = std::move(dst);
-  };
-  if (pool != nullptr && cols.size() > 1) {
-    pool->RunTasks(static_cast<int>(cols.size()),
-                   [&](int j) { gather_one(cols[j]); });
-  } else {
-    for (AttributeId col : cols) gather_one(col);
   }
   return out;
 }
 
-EncodedTable EncodedTable::GatherColumns(const std::vector<AttributeId>& cols,
-                                         ThreadPool* pool) const {
+EncodedTable EncodedTable::GatherColumns(
+    const std::vector<AttributeId>& cols) const {
   EncodedTable out(0);
   out.encoded_ = AttributeSet::FullSet(static_cast<int>(cols.size()));
   out.num_rows_ = num_rows_;
-  out.columns_.resize(cols.size());
-  auto copy_one = [&](size_t j) {
-    assert(encoded_.Contains(cols[j]));
-    out.columns_[j] = columns_[cols[j]];  // shared copy-on-write
-  };
-  if (pool != nullptr && cols.size() > 1) {
-    pool->RunTasks(static_cast<int>(cols.size()),
-                   [&](int j) { copy_one(static_cast<size_t>(j)); });
-  } else {
-    for (size_t j = 0; j < cols.size(); ++j) copy_one(j);
+  out.columns_.reserve(cols.size());
+  for (AttributeId col : cols) {
+    assert(encoded_.Contains(col));
+    out.columns_.push_back(columns_[col]);  // shared copy-on-write
   }
   return out;
 }
@@ -385,27 +368,18 @@ EncodedTable EncodedTable::AllocateTarget(
   return out;
 }
 
-void EncodedTable::RecountNulls(ThreadPool* pool) {
-  auto recount_one = [&](AttributeId col) {
+void EncodedTable::RecountNulls() {
+  for (AttributeId col : encoded_) {
     Column& c = Detach(col);
     int nulls = 0;
     for (uint32_t code : c.codes) {
       if (code == kNullCode) ++nulls;
     }
     c.null_count = nulls;
-  };
-  std::vector<AttributeId> cols;
-  cols.reserve(encoded_.size());
-  for (AttributeId col : encoded_) cols.push_back(col);
-  if (pool != nullptr && cols.size() > 1) {
-    pool->RunTasks(static_cast<int>(cols.size()),
-                   [&](int j) { recount_one(cols[j]); });
-  } else {
-    for (AttributeId col : cols) recount_one(col);
   }
 }
 
-std::vector<int> EncodedTable::DistinctRows(ThreadPool* pool) const {
+std::vector<int> EncodedTable::DistinctRows() const {
   std::vector<const std::vector<uint32_t>*> cols;
   cols.reserve(encoded_.size());
   for (AttributeId col : encoded_) cols.push_back(&columns_[col]->codes);
@@ -414,7 +388,7 @@ std::vector<int> EncodedTable::DistinctRows(ThreadPool* pool) const {
   // the bucket walk (ascending) reaches the row itself before any equal
   // row. Duplicates stop at their group's first row, so the walk is
   // O(1) for them; only hash collisions scan further.
-  const CodeHashIndex index(cols, num_rows_, pool);
+  const CodeHashIndex index(cols, num_rows_, nullptr);
   auto is_first = [&](int row) {
     const CodeHashIndex::Range bucket = index.Bucket(index.row_hash(row));
     for (const int* p = bucket.begin; p != bucket.end; ++p) {
@@ -433,23 +407,9 @@ std::vector<int> EncodedTable::DistinctRows(ThreadPool* pool) const {
   };
 
   std::vector<int> out;
-  ParallelEmit(
-      pool, 0, num_rows_,
-      [&](int64_t b, int64_t e) {
-        int64_t n = 0;
-        for (int64_t row = b; row < e; ++row) {
-          if (is_first(static_cast<int>(row))) ++n;
-        }
-        return n;
-      },
-      [&](int64_t total) { out.resize(total); },
-      [&](int64_t b, int64_t e, int64_t offset) {
-        for (int64_t row = b; row < e; ++row) {
-          if (is_first(static_cast<int>(row))) {
-            out[offset++] = static_cast<int>(row);
-          }
-        }
-      });
+  for (int row = 0; row < num_rows_; ++row) {
+    if (is_first(row)) out.push_back(row);
+  }
   return out;
 }
 

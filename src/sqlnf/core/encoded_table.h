@@ -87,8 +87,6 @@
 
 namespace sqlnf {
 
-class ThreadPool;
-
 /// Column-coded view of a table: per column, one uint32 code per row.
 class EncodedTable {
  public:
@@ -251,25 +249,21 @@ class EncodedTable {
   /// The listed rows (any order, duplicates allowed) gathered into a new
   /// encoding. Each column shares its source's dictionary (copy-on-
   /// write), so codes keep their meaning and the cost is the gathered
-  /// codes alone — this is how a selection vector materializes. With a
-  /// pool the per-column gathers run as parallel tasks (identical
-  /// result).
-  EncodedTable GatherRows(const std::vector<int>& rows,
-                          ThreadPool* pool = nullptr) const;
+  /// codes alone — this is how a selection vector materializes.
+  EncodedTable GatherRows(const std::vector<int>& rows) const;
 
   /// The listed columns (any order, duplicates allowed) as a new, fully
   /// encoded table: column j of the result is column cols[j] here. Every
   /// listed column must be encoded. Columns are shared copy-on-write,
-  /// so this is O(result columns). With a pool the (cheap) pointer
-  /// copies still run as parallel tasks (identical result).
-  EncodedTable GatherColumns(const std::vector<AttributeId>& cols,
-                             ThreadPool* pool = nullptr) const;
+  /// so this is O(result columns).
+  EncodedTable GatherColumns(const std::vector<AttributeId>& cols) const;
 
-  /// An allocated-but-unfilled gather target for two-phase (count/fill)
-  /// writers: column j shares the dictionary of column sources[j].second
-  /// of *sources[j].first (copy-on-write) and gets a code vector sized
-  /// to `num_rows` with unspecified contents. The writer must store a
-  /// code into every slot through mutable_codes() and then call
+  /// An allocated-but-unfilled gather target for writers that know the
+  /// output size up front (the equality join, after its count pass):
+  /// column j shares the dictionary of column sources[j].second of
+  /// *sources[j].first (copy-on-write) and gets a code vector sized to
+  /// `num_rows` with unspecified contents. The writer must store a code
+  /// into every slot through mutable_codes() and then call
   /// RecountNulls() — until then row queries and null counts are
   /// meaningless.
   static EncodedTable AllocateTarget(
@@ -278,25 +272,22 @@ class EncodedTable {
       int num_rows);
 
   /// Raw writable code slots of one column, for AllocateTarget fill
-  /// passes (distinct output windows may be written concurrently).
-  /// Detaches the column if it is shared with a snapshot.
+  /// passes. Detaches the column if it is shared with a snapshot.
   uint32_t* mutable_codes(AttributeId col) {
     return Detach(col).codes.data();
   }
 
   /// Recomputes every column's ⊥ count from its codes — the seal step
-  /// after direct mutable_codes() writes. Parallel over columns with a
-  /// pool.
-  void RecountNulls(ThreadPool* pool = nullptr);
+  /// after direct mutable_codes() writes.
+  void RecountNulls();
 
   /// Ascending row ids of the first occurrence of each distinct row
   /// (codes compared across all encoded columns) — the dedup behind set
   /// projection I[X]. Code equality is value equality per column, so no
   /// Value is ever compared. Runs on a CSR hash index over the row
   /// codes: a row is emitted iff no smaller row in its bucket carries
-  /// the same codes, a per-row test that parallelizes over morsels with
-  /// a pool; the emitted ids are identical at every thread count.
-  std::vector<int> DistinctRows(ThreadPool* pool = nullptr) const;
+  /// the same codes.
+  std::vector<int> DistinctRows() const;
 
   /// The dictionary translation map from this encoding's codes in `col`
   /// into `other`'s code space for `other_col`: result[c] is the code

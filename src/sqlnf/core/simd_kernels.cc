@@ -23,9 +23,9 @@
 //   * compress-store — _mm256_permutevar8x32_epi32 with a 256-entry
 //     permutation table packs selected row ids to the lane front; the
 //     packed vector is spilled to a local buffer and only
-//     popcount(mask) ids are memcpy'd out, because the destination
-//     window is exactly sized per ParallelEmit chunk and a full
-//     32-byte store would stomp the neighbouring chunk's window.
+//     popcount(mask) ids are memcpy'd out, so the kernel writes
+//     nothing past the ids it returns and `out` needs room for those
+//     alone.
 
 #include "sqlnf/core/simd_kernels.h"
 
@@ -217,13 +217,6 @@ SQLNF_SIMD_SCALAR_FN void OrBytesScalar(const uint8_t* src, int n,
   for (int i = 0; i < n; ++i) dst[i] |= src[i];
 }
 
-SQLNF_SIMD_SCALAR_FN int64_t CountBytesScalar(const uint8_t* bytes, int n) {
-  int64_t total = 0;
-  SQLNF_SIMD_NO_AUTOVEC
-  for (int i = 0; i < n; ++i) total += bytes[i];
-  return total;
-}
-
 SQLNF_SIMD_SCALAR_FN int CompressStoreScalar(const uint8_t* match, int n,
                                              int base, int* out) {
   int count = 0;
@@ -329,20 +322,6 @@ void OrBytesSse2(const uint8_t* src, int n, uint8_t* dst) {
                      _mm_or_si128(s, d));
   }
   OrBytesScalar(src + i, n - i, dst + i);
-}
-
-int64_t CountBytesSse2(const uint8_t* bytes, int n) {
-  __m128i acc = _mm_setzero_si128();
-  const __m128i zero = _mm_setzero_si128();
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + i));
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(v, zero));
-  }
-  alignas(16) uint64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  return static_cast<int64_t>(lanes[0] + lanes[1]) +
-         CountBytesScalar(bytes + i, n - i);
 }
 
 void FoldMaskSse2(const uint64_t* h, int n, uint64_t mask, uint32_t* out) {
@@ -455,21 +434,6 @@ SQLNF_SIMD_TARGET_AVX2 void ByteTableAvx2(const uint32_t* codes, int n,
   ByteTableScalar(codes + i, n - i, table, d, and_mode, out + i);
 }
 
-SQLNF_SIMD_TARGET_AVX2 int64_t CountBytesAvx2(const uint8_t* bytes, int n) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  return static_cast<int64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]) +
-         CountBytesScalar(bytes + i, n - i);
-}
-
 SQLNF_SIMD_TARGET_AVX2 int CompressStoreAvx2(const uint8_t* match, int n,
                                              int base, int* out) {
   const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
@@ -488,9 +452,8 @@ SQLNF_SIMD_TARGET_AVX2 int CompressStoreAvx2(const uint8_t* match, int n,
     __m256i perm = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(kCompress.idx[m]));
     __m256i packed = _mm256_permutevar8x32_epi32(ids, perm);
-    // Spill locally and copy exactly popcount ids: the output window
-    // is sized to the chunk's match count (ParallelEmit), and a full
-    // 32-byte store would cross into the next chunk's window.
+    // Spill locally and copy exactly popcount ids: nothing past the
+    // returned count is written.
     alignas(32) int buf[8];
     _mm256_store_si256(reinterpret_cast<__m256i*>(buf), packed);
     int c = __builtin_popcount(m);
@@ -655,18 +618,6 @@ void OrBytes(Level level, const uint8_t* src, int n, uint8_t* dst) {
 #endif
   (void)l;
   OrBytesScalar(src, n, dst);
-}
-
-int64_t CountBytes(Level level, const uint8_t* bytes, int n) {
-  const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) return CountBytesAvx2(bytes, n);
-#endif
-#if SQLNF_SIMD_X86
-  if (l >= Level::kSimd128) return CountBytesSse2(bytes, n);
-#endif
-  (void)l;
-  return CountBytesScalar(bytes, n);
 }
 
 int CompressStore(Level level, const uint8_t* match, int n, int base,

@@ -3,7 +3,7 @@
 //
 //   * CompiledPredicate::ApplyAtom   EqCode / NeCode / CodeInterval /
 //                                    RankInterval / ByteTable / OrBytes
-//   * ParallelEmit count/fill        CountBytes / CompressStore
+//   * SelectRowsEncoded emission     CompressStore
 //   * CodeHashIndex build & probe    FnvMixCodes / FoldMask
 //
 // Each kernel ships in up to three compile-time ISA variants — a scalar
@@ -111,12 +111,10 @@ void ByteTable(Level level, const uint32_t* codes, int n,
 /// dst[i] |= src[i]: the disjunct merge of EvalBlock.
 void OrBytes(Level level, const uint8_t* src, int n, uint8_t* dst);
 
-/// Sum of `bytes[0..n)` — the count phase over 0/1 match bytes.
-int64_t CountBytes(Level level, const uint8_t* bytes, int n);
-
 /// Appends base + i to `out` for every i with match[i] != 0, ascending;
-/// returns how many were written (the fill phase's compress-store).
-/// `out` must have room for CountBytes(match, n) entries.
+/// returns how many were written (the scan's compress-store). Nothing
+/// past the returned count is written, so `out` needs room for one id
+/// per nonzero byte of `match`.
 int CompressStore(Level level, const uint8_t* match, int n, int base,
                   int* out);
 

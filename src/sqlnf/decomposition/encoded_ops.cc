@@ -29,28 +29,25 @@ std::vector<AttributeId> ToColumnList(const AttributeSet& x) {
 Result<EncodedRelation> ProjectMultisetEncoded(const TableSchema& schema,
                                                const EncodedTable& enc,
                                                const AttributeSet& x,
-                                               const std::string& name,
-                                               ThreadPool* pool) {
+                                               const std::string& name) {
   SQLNF_ASSIGN_OR_RETURN(TableSchema out_schema, schema.Project(x, name));
   return EncodedRelation{std::move(out_schema),
-                         enc.GatherColumns(ToColumnList(x), pool)};
+                         enc.GatherColumns(ToColumnList(x))};
 }
 
 Result<EncodedRelation> ProjectSetEncoded(const TableSchema& schema,
                                           const EncodedTable& enc,
                                           const AttributeSet& x,
-                                          const std::string& name,
-                                          ThreadPool* pool) {
+                                          const std::string& name) {
   SQLNF_ASSIGN_OR_RETURN(TableSchema out_schema, schema.Project(x, name));
-  EncodedTable gathered = enc.GatherColumns(ToColumnList(x), pool);
-  std::vector<int> first = gathered.DistinctRows(pool);
-  return EncodedRelation{std::move(out_schema),
-                         gathered.GatherRows(first, pool)};
+  EncodedTable gathered = enc.GatherColumns(ToColumnList(x));
+  std::vector<int> first = gathered.DistinctRows();
+  return EncodedRelation{std::move(out_schema), gathered.GatherRows(first)};
 }
 
 Result<std::vector<EncodedRelation>> ProjectAllEncoded(
     const TableSchema& schema, const EncodedTable& enc,
-    const Decomposition& d, ThreadPool* pool) {
+    const Decomposition& d) {
   SQLNF_RETURN_NOT_OK(d.Validate(schema));
   std::vector<EncodedRelation> out;
   out.reserve(d.components.size());
@@ -61,12 +58,11 @@ Result<std::vector<EncodedRelation>> ProjectAllEncoded(
     if (c.multiset) {
       SQLNF_ASSIGN_OR_RETURN(EncodedRelation r,
                              ProjectMultisetEncoded(schema, enc, c.attrs,
-                                                    name, pool));
+                                                    name));
       out.push_back(std::move(r));
     } else {
       SQLNF_ASSIGN_OR_RETURN(EncodedRelation r,
-                             ProjectSetEncoded(schema, enc, c.attrs, name,
-                                               pool));
+                             ProjectSetEncoded(schema, enc, c.attrs, name));
       out.push_back(std::move(r));
     }
   }
@@ -94,8 +90,7 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
                                             const EncodedTable& left_cols,
                                             const TableSchema& rs,
                                             const EncodedTable& right_cols,
-                                            const std::string& name,
-                                            ThreadPool* pool) {
+                                            const std::string& name) {
   // Column plan identical to the row-major EqualityJoin: all left
   // columns, then right-only; common columns pair up by name.
   std::vector<std::pair<AttributeId, AttributeId>> common;  // (l, r)
@@ -117,9 +112,9 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
 
   // Output layout: every left column, then the right-only columns, each
   // sharing its source column's dictionary (copy-on-write, so no
-  // dictionary is copied). AllocateTarget pre-sizes the code vectors
-  // once the count pass has fixed the row total; the fill pass writes
-  // codes straight into them.
+  // dictionary is copied). AllocateTarget sizes the code vectors once
+  // the row total is known; the fill loop writes codes straight into
+  // them.
   std::vector<std::pair<const EncodedTable*, AttributeId>> sources;
   sources.reserve(num_left_out + right_only.size());
   for (AttributeId l = 0; l < num_left_out; ++l) {
@@ -145,35 +140,26 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
     }
     return Status::OK();
   };
-  Status alloc_status = Status::OK();
 
   if (common.empty()) {
     // No shared columns: the join is the full cartesian product. The
     // hash path would send every row through a single bucket; instead
     // the output shape is known up front — left-major, right rows
     // ascending, exactly the order the degenerate hash probe emitted —
-    // and each left morsel fills its own window with sequential copies.
-    const int64_t total =
-        static_cast<int64_t>(left_rows) * static_cast<int64_t>(right_rows);
-    SQLNF_RETURN_NOT_OK(allocate_out(total));
-    auto fill = [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        const int64_t base = i * right_rows;
-        for (size_t c = 0; c < static_cast<size_t>(num_left_out); ++c) {
-          // One left code replicated across the row's whole window.
-          std::fill(dst[c] + base, dst[c] + base + right_rows, src[c][i]);
-        }
-        for (size_t c = num_left_out; c < num_out; ++c) {
-          std::copy(src[c], src[c] + right_rows, dst[c] + base);
-        }
+    // and each left row fills its window with sequential copies.
+    SQLNF_RETURN_NOT_OK(allocate_out(static_cast<int64_t>(left_rows) *
+                                     static_cast<int64_t>(right_rows)));
+    for (int64_t i = 0; i < left_rows; ++i) {
+      const int64_t base = i * right_rows;
+      for (size_t c = 0; c < static_cast<size_t>(num_left_out); ++c) {
+        // One left code replicated across the row's whole window.
+        std::fill(dst[c] + base, dst[c] + base + right_rows, src[c][i]);
       }
-    };
-    if (pool != nullptr && left_rows > 1) {
-      ParallelFor(*pool, 0, left_rows, fill);
-    } else {
-      fill(0, left_rows);
+      for (size_t c = num_left_out; c < num_out; ++c) {
+        std::copy(src[c], src[c] + right_rows, dst[c] + base);
+      }
     }
-    out->RecountNulls(pool);
+    out->RecountNulls();
     return EncodedRelation{std::move(out_schema), std::move(*out)};
   }
 
@@ -181,8 +167,7 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
   // space once per dictionary entry. kNullCode passes through (⊥ matches
   // only ⊥); a value the left never saw becomes kMissingCode, which
   // matches no left code — exactly the equality-join semantics. The
-  // translation map is O(dictionary); the per-row carry loop is the
-  // rows-sized part and runs chunk-parallel.
+  // translation map is O(dictionary); the carry loop is O(rows).
   std::vector<std::vector<uint32_t>> rkey(common.size());
   for (size_t k = 0; k < common.size(); ++k) {
     const std::vector<uint32_t> map = right_cols.TranslationTo(
@@ -191,26 +176,18 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
     col.resize(right_rows);
     const std::vector<uint32_t>& codes =
         right_cols.column(common[k].second);
-    auto carry = [&](int64_t begin, int64_t end) {
-      for (int64_t j = begin; j < end; ++j) {
-        col[j] = codes[j] == EncodedTable::kNullCode
-                     ? EncodedTable::kNullCode
-                     : map[codes[j]];
-      }
-    };
-    if (pool != nullptr && right_rows > 1) {
-      ParallelFor(*pool, 0, right_rows, carry);
-    } else {
-      carry(0, right_rows);
+    for (int j = 0; j < right_rows; ++j) {
+      col[j] = codes[j] == EncodedTable::kNullCode ? EncodedTable::kNullCode
+                                                   : map[codes[j]];
     }
   }
 
-  // CSR hash index over the carried right keys (count → prefix → fill,
-  // chunk-parallel; buckets list rows ascending at any thread count).
+  // CSR hash index over the carried right keys; buckets list rows
+  // ascending.
   std::vector<const std::vector<uint32_t>*> right_keys;
   right_keys.reserve(common.size());
   for (const std::vector<uint32_t>& col : rkey) right_keys.push_back(&col);
-  const CodeHashIndex index(right_keys, right_rows, pool);
+  const CodeHashIndex index(right_keys, right_rows, nullptr);
 
   std::vector<const std::vector<uint32_t>*> left_keys;
   left_keys.reserve(common.size());
@@ -218,104 +195,60 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
     left_keys.push_back(&left_cols.column(common[k].first));
   }
 
-  // The probe kernel both passes share: visit row i's matches in bucket
-  // (= ascending right-row) order. The caller supplies row i's key
-  // hash — both passes batch-hash their probe rows tile-wise through
-  // CodeHashIndex::HashRows (SIMD FNV mixing) instead of re-walking
-  // the key columns row-at-a-time.
-  auto for_matches = [&](int i, uint64_t hash, auto&& body) {
-    const CodeHashIndex::Range bucket = index.Bucket(hash);
-    for (const int* p = bucket.begin; p != bucket.end; ++p) {
-      const int j = *p;
-      bool match = true;
-      for (size_t k = 0; k < common.size(); ++k) {
-        if ((*left_keys[k])[i] != rkey[k][j]) {
-          match = false;
-          break;
+  // The probe both loops share: body(i, j) for every matching pair in
+  // output order — left-major, and within left row i its matches in
+  // bucket (= ascending right-row) order. Left rows are hashed a tile
+  // at a time through CodeHashIndex::HashRows (SIMD FNV mixing)
+  // instead of re-walking the key columns row by row.
+  constexpr int kProbeTile = 512;
+  auto for_each_match = [&](auto&& body) {
+    uint64_t hashes[kProbeTile];
+    for (int at = 0; at < left_rows; at += kProbeTile) {
+      const int len = std::min(kProbeTile, left_rows - at);
+      CodeHashIndex::HashRows(left_keys, at, at + len, hashes);
+      for (int t = 0; t < len; ++t) {
+        const int i = at + t;
+        const CodeHashIndex::Range bucket = index.Bucket(hashes[t]);
+        for (const int* p = bucket.begin; p != bucket.end; ++p) {
+          const int j = *p;
+          bool match = true;
+          for (size_t k = 0; k < common.size(); ++k) {
+            if ((*left_keys[k])[i] != rkey[k][j]) {
+              match = false;
+              break;
+            }
+          }
+          if (match) body(i, j);
         }
       }
-      if (match) body(j);
     }
   };
-  constexpr int kProbeTile = 512;
 
-  // Two-phase morsel probe: count sizes each chunk's output window, the
-  // prefix sum inside ParallelEmit fixes deterministic chunk-ordered
-  // offsets, and fill writes the joined code columns directly into the
-  // pre-sized output — left-major, ascending right rows within a left
-  // row, so the emitted order is identical at every thread count.
-  ParallelEmit(
-      pool, 0, left_rows,
-      [&](int64_t begin, int64_t end) {
-        int64_t n = 0;
-        uint64_t hashes[kProbeTile];
-        for (int64_t at = begin; at < end; at += kProbeTile) {
-          const int len = static_cast<int>(
-              std::min<int64_t>(kProbeTile, end - at));
-          CodeHashIndex::HashRows(left_keys, static_cast<int>(at),
-                                  static_cast<int>(at) + len, hashes);
-          for (int i = 0; i < len; ++i) {
-            for_matches(static_cast<int>(at) + i, hashes[i],
-                        [&](int) { ++n; });
-          }
-        }
-        return n;
-      },
-      [&](int64_t total) { alloc_status = allocate_out(total); },
-      [&](int64_t begin, int64_t end, int64_t offset) {
-        if (!alloc_status.ok()) return;
-        uint64_t hashes[kProbeTile];
-        for (int64_t at = begin; at < end; at += kProbeTile) {
-          const int len = static_cast<int>(
-              std::min<int64_t>(kProbeTile, end - at));
-          CodeHashIndex::HashRows(left_keys, static_cast<int>(at),
-                                  static_cast<int>(at) + len, hashes);
-          for (int ti = 0; ti < len; ++ti) {
-            const int64_t i = at + ti;
-            for_matches(static_cast<int>(i), hashes[ti], [&](int j) {
-              for (size_t c = 0; c < static_cast<size_t>(num_left_out);
-                   ++c) {
-                dst[c][offset] = src[c][i];
-              }
-              for (size_t c = num_left_out; c < num_out; ++c) {
-                dst[c][offset] = src[c][j];
-              }
-              ++offset;
-            });
-          }
-        }
-      });
-  SQLNF_RETURN_NOT_OK(alloc_status);
-  out->RecountNulls(pool);
+  // Count, then fill. The count loop lets the 2^31-row bound fail
+  // before anything is allocated; collecting match pairs in one pass
+  // instead would grow them without bound on a hot key first.
+  int64_t total = 0;
+  for_each_match([&](int, int) { ++total; });
+  SQLNF_RETURN_NOT_OK(allocate_out(total));
+  int64_t offset = 0;
+  for_each_match([&](int i, int j) {
+    for (size_t c = 0; c < static_cast<size_t>(num_left_out); ++c) {
+      dst[c][offset] = src[c][i];
+    }
+    for (size_t c = num_left_out; c < num_out; ++c) {
+      dst[c][offset] = src[c][j];
+    }
+    ++offset;
+  });
+  out->RecountNulls();
   return EncodedRelation{std::move(out_schema), std::move(*out)};
-}
-
-Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
-                                            const EncodedTable& left_cols,
-                                            const TableSchema& rs,
-                                            const EncodedTable& right_cols,
-                                            const std::string& name,
-                                            const ParallelOptions& par) {
-  if (par.threads > 1) {
-    ThreadPool pool(par.threads);
-    return EqualityJoinEncoded(ls, left_cols, rs, right_cols, name, &pool);
-  }
-  return EqualityJoinEncoded(ls, left_cols, rs, right_cols, name,
-                             static_cast<ThreadPool*>(nullptr));
 }
 
 Result<EncodedRelation> JoinComponentsEncoded(const TableSchema& schema,
                                               const EncodedTable& enc,
-                                              const Decomposition& d,
-                                              const ParallelOptions& par) {
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (par.threads > 1) {
-    pool_storage.emplace(par.threads);
-    pool = &*pool_storage;
-  }
+                                              const Decomposition& d) {
   SQLNF_ASSIGN_OR_RETURN(std::vector<EncodedRelation> parts,
-                         ProjectAllEncoded(schema, enc, d, pool));
+                         ProjectAllEncoded(schema, enc, d));
   if (parts.size() == 1) return std::move(parts[0]);
 
   // The declaration-order fold's output layout (first occurrence of
@@ -352,7 +285,7 @@ Result<EncodedRelation> JoinComponentsEncoded(const TableSchema& schema,
         joined, EqualityJoinEncoded(joined.schema, joined.columns,
                                     parts[order[i]].schema,
                                     parts[order[i]].columns,
-                                    schema.name() + "_joined", pool));
+                                    schema.name() + "_joined"));
   }
 
   // Restore the declaration-order column layout.
@@ -368,7 +301,7 @@ Result<EncodedRelation> JoinComponentsEncoded(const TableSchema& schema,
     mapping.push_back(id);
   }
   return EncodedRelation{std::move(canon_schema),
-                         joined.columns.GatherColumns(mapping, pool)};
+                         joined.columns.GatherColumns(mapping)};
 }
 
 bool SameMultisetEncoded(const EncodedTable& a, const EncodedTable& b) {
@@ -455,10 +388,9 @@ bool SameMultisetEncoded(const EncodedTable& a, const EncodedTable& b) {
 
 Result<bool> IsLosslessForInstanceEncoded(const TableSchema& schema,
                                           const EncodedTable& enc,
-                                          const Decomposition& d,
-                                          const ParallelOptions& par) {
+                                          const Decomposition& d) {
   SQLNF_ASSIGN_OR_RETURN(EncodedRelation joined,
-                         JoinComponentsEncoded(schema, enc, d, par));
+                         JoinComponentsEncoded(schema, enc, d));
   if (joined.columns.num_rows() != enc.num_rows()) return false;
   // Align the join's component-ordered columns with the original schema,
   // then compare multisets on codes.

@@ -28,7 +28,6 @@
 #include "sqlnf/core/schema.h"
 #include "sqlnf/core/table.h"
 #include "sqlnf/decomposition/decomposition.h"
-#include "sqlnf/util/parallel.h"
 #include "sqlnf/util/status.h"
 
 namespace sqlnf {
@@ -48,26 +47,21 @@ struct EncodedRelation {
 
 /// Set projection I[X] on codes: gather the X columns, dedup rows by
 /// code hash (first-occurrence order, matching ProjectSet exactly).
-/// With a pool the column gather, the distinct-row emission, and the
-/// row gather run chunk-parallel (identical result).
 Result<EncodedRelation> ProjectSetEncoded(const TableSchema& schema,
                                           const EncodedTable& enc,
                                           const AttributeSet& x,
-                                          const std::string& name,
-                                          ThreadPool* pool = nullptr);
+                                          const std::string& name);
 
-/// Multiset projection I[[X]] on codes: a column gather, no row copy
-/// (parallel over columns with a pool).
+/// Multiset projection I[[X]] on codes: a column gather, no row copy.
 Result<EncodedRelation> ProjectMultisetEncoded(const TableSchema& schema,
                                                const EncodedTable& enc,
                                                const AttributeSet& x,
-                                               const std::string& name,
-                                               ThreadPool* pool = nullptr);
+                                               const std::string& name);
 
 /// Projects onto every component of `d` (the encoded ProjectAll).
 Result<std::vector<EncodedRelation>> ProjectAllEncoded(
     const TableSchema& schema, const EncodedTable& enc,
-    const Decomposition& d, ThreadPool* pool = nullptr);
+    const Decomposition& d);
 
 /// The schema of the natural join of `left_schema` and `right_schema`
 /// under `name`: every left column, then the right columns the left
@@ -80,42 +74,23 @@ Result<TableSchema> NaturalJoinSchema(const TableSchema& left_schema,
 
 /// Natural equality join on codes (common columns by name; identical
 /// values, ⊥ = ⊥ included — Theorem 11 semantics). The right side's
-/// common-column codes are translated into the left side's code space,
-/// then the join runs as a morsel-driven pipeline: a flat CSR hash
-/// index over the right rows (core/code_hash_index.h, built with a
-/// parallel count/prefix/fill pass), and a two-phase probe
-/// (util/parallel.h ParallelEmit) whose count pass sizes each left-row
-/// morsel's output window and whose fill pass writes the joined code
-/// columns directly into a pre-sized EncodedTable — no intermediate
-/// match-pair list is ever materialized. A join with no common columns
-/// takes a dedicated cartesian path (row-count products, sequential
-/// fills) instead of funnelling every row through one hash bucket.
-/// Output columns share their source columns' dictionaries, so the
-/// cost is the emitted codes alone. The emitted row order — left-major,
-/// right rows ascending within a left row — is identical at every
-/// thread count.
+/// common-column codes are translated into the left side's code space
+/// and indexed in a flat CSR hash index (core/code_hash_index.h). Two
+/// plain loops probe it with the left rows: the count loop totals the
+/// matches, so a result over 2^31 rows fails before anything is
+/// allocated, and the fill loop writes the joined code columns
+/// directly into a pre-sized EncodedTable — no match-pair list is ever
+/// materialized. A join with no common columns takes a dedicated
+/// cartesian path (row-count product, sequential fills) instead of
+/// funnelling every row through one hash bucket. Output columns share
+/// their source columns' dictionaries, so the cost is the emitted codes
+/// alone. Rows come out left-major, right rows ascending within a left
+/// row.
 Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& left_schema,
                                             const EncodedTable& left,
                                             const TableSchema& right_schema,
                                             const EncodedTable& right,
-                                            const std::string& name,
-                                            const ParallelOptions& par = {});
-
-/// Shared-pool variant for callers composing several joins/projections
-/// (`nullptr` runs serial). Same result, pool construction amortized.
-Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& left_schema,
-                                            const EncodedTable& left,
-                                            const TableSchema& right_schema,
-                                            const EncodedTable& right,
-                                            const std::string& name,
-                                            ThreadPool* pool);
-
-inline Result<EncodedRelation> EqualityJoinEncoded(
-    const EncodedRelation& left, const EncodedRelation& right,
-    const std::string& name, const ParallelOptions& par = {}) {
-  return EqualityJoinEncoded(left.schema, left.columns, right.schema,
-                             right.columns, name, par);
-}
+                                            const std::string& name);
 
 /// Reconstructs the instance from the projections of `d` with the
 /// encoded equality join (the encoded JoinComponents). Components are
@@ -125,8 +100,7 @@ inline Result<EncodedRelation> EqualityJoinEncoded(
 /// Algorithm-3 recombination contract), only the row order may differ.
 Result<EncodedRelation> JoinComponentsEncoded(const TableSchema& schema,
                                               const EncodedTable& enc,
-                                              const Decomposition& d,
-                                              const ParallelOptions& par = {});
+                                              const Decomposition& d);
 
 /// True when the two fully encoded tables hold identical row multisets
 /// under VALUE semantics (columns paired positionally; the dictionaries
@@ -139,8 +113,7 @@ bool SameMultisetEncoded(const EncodedTable& a, const EncodedTable& b);
 /// be a full encoding of the instance over `schema`.
 Result<bool> IsLosslessForInstanceEncoded(const TableSchema& schema,
                                           const EncodedTable& enc,
-                                          const Decomposition& d,
-                                          const ParallelOptions& par = {});
+                                          const Decomposition& d);
 
 }  // namespace sqlnf
 

@@ -1,61 +1,37 @@
 #include "sqlnf/engine/relops.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "sqlnf/core/simd_kernels.h"
 
 namespace sqlnf {
 
 std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
-                                   const Predicate& pred,
-                                   const ParallelOptions& par) {
+                                   const Predicate& pred) {
   std::vector<int> sel;
   // All probing and order-index work happens once, here; the scan
-  // below touches only flat uint32 code arrays. The compiled form is
-  // immutable and shared read-only by all scan threads.
+  // below touches only flat uint32 code arrays.
   const CompiledPredicate compiled(enc, pred);
   if (compiled.never_matches()) return sel;
+  const int rows = enc.num_rows();
   if (compiled.always_matches()) {
-    sel.resize(enc.num_rows());
-    for (int i = 0; i < enc.num_rows(); ++i) sel[i] = i;
+    sel.resize(rows);
+    for (int i = 0; i < rows; ++i) sel[i] = i;
     return sel;
   }
 
-  std::optional<ThreadPool> pool_storage;
-  if (par.threads > 1 && enc.num_rows() > 1) {
-    pool_storage.emplace(par.threads);
-  }
+  // One pass: each block is evaluated once, and its matching ids are
+  // compress-stored into a block-sized buffer and appended.
   constexpr int kBlock = CompiledPredicate::kBlock;
-  // Both phases run the same EvalBlock kernels; the count phase sums
-  // match bytes (simd::CountBytes) and the fill phase compress-stores
-  // the selected row ids (simd::CompressStore) into this chunk's
-  // exactly-sized window of `sel` — each chunk writes a disjoint
-  // range, so the emission stays bit-identical at any thread count.
   const simd::Level level = simd::ActiveLevel();
-  ParallelEmit(
-      pool_storage ? &*pool_storage : nullptr, 0, enc.num_rows(),
-      [&](int64_t b, int64_t e) {
-        uint8_t match[kBlock];
-        int64_t n = 0;
-        for (int64_t at = b; at < e; at += kBlock) {
-          const int64_t len = std::min<int64_t>(kBlock, e - at);
-          compiled.EvalBlock(at, len, match);
-          n += simd::CountBytes(level, match, static_cast<int>(len));
-        }
-        return n;
-      },
-      [&](int64_t total) { sel.resize(total); },
-      [&](int64_t b, int64_t e, int64_t offset) {
-        uint8_t match[kBlock];
-        for (int64_t at = b; at < e; at += kBlock) {
-          const int64_t len = std::min<int64_t>(kBlock, e - at);
-          compiled.EvalBlock(at, len, match);
-          offset += simd::CompressStore(level, match, static_cast<int>(len),
-                                        static_cast<int>(at),
-                                        sel.data() + offset);
-        }
-      });
+  uint8_t match[kBlock];
+  int ids[kBlock];
+  for (int at = 0; at < rows; at += kBlock) {
+    const int len = std::min(kBlock, rows - at);
+    compiled.EvalBlock(at, len, match);
+    const int n = simd::CompressStore(level, match, len, at, ids);
+    sel.insert(sel.end(), ids, ids + n);
+  }
   return sel;
 }
 

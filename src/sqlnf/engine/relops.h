@@ -17,7 +17,6 @@
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
 #include "sqlnf/engine/predicate.h"
-#include "sqlnf/util/parallel.h"
 #include "sqlnf/util/status.h"
 
 namespace sqlnf {
@@ -28,13 +27,11 @@ namespace sqlnf {
 /// engine/predicate.h), then one fused pass of branch-free integer
 /// compares per row block evaluates the whole DNF. A value absent from
 /// a dictionary matches no row (kEq/kIn) or every row (kNe);
-/// Predicate::True() selects every row. With `par.threads > 1` the
-/// scan runs as a two-phase count/fill emission over row morsels
-/// (util/parallel.h ParallelEmit) — the returned vector is identical
-/// at every thread count.
+/// Predicate::True() selects every row. One pass on the calling
+/// thread: each row block is evaluated once and its matching ids are
+/// compress-stored and appended to the result.
 std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
-                                   const Predicate& pred,
-                                   const ParallelOptions& par = {});
+                                   const Predicate& pred);
 
 /// Crosses `table` with an integer column `column` holding 1..n —
 /// the paper's trick to scale the 173-row contractor table to a

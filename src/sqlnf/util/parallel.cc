@@ -94,60 +94,10 @@ void ThreadPool::RunTasks(int num_tasks,
   job_ = nullptr;
 }
 
-int64_t ParallelEmit(ThreadPool* pool, int64_t begin, int64_t end,
-                     const std::function<int64_t(int64_t, int64_t)>& count,
-                     const std::function<void(int64_t)>& reserve,
-                     const std::function<void(int64_t, int64_t, int64_t)>&
-                         fill) {
-  const int64_t n = end - begin;
-  if (n <= 0) {
-    reserve(0);
-    return 0;
-  }
-  const int chunks = pool == nullptr ? 1 : ParallelChunks(*pool, n);
-  const int64_t per_chunk = (n + chunks - 1) / chunks;
-  auto run = [&](const std::function<void(int)>& task) {
-    if (pool == nullptr) {
-      task(0);
-    } else {
-      pool->RunTasks(chunks, task);
-    }
-  };
-  // offsets[c + 1] holds chunk c's count, then (after the prefix sum)
-  // the exclusive offset of chunk c + 1.
-  std::vector<int64_t> offsets(chunks + 1, 0);
-  run([&](int c) {
-    const int64_t b = begin + c * per_chunk;
-    const int64_t e = std::min(end, b + per_chunk);
-    if (b < e) offsets[c + 1] = count(b, e);
-  });
-  for (int c = 0; c < chunks; ++c) offsets[c + 1] += offsets[c];
-  reserve(offsets[chunks]);
-  run([&](int c) {
-    const int64_t b = begin + c * per_chunk;
-    const int64_t e = std::min(end, b + per_chunk);
-    if (b < e) fill(b, e, offsets[c]);
-  });
-  return offsets[chunks];
-}
-
 int ParallelChunks(const ThreadPool& pool, int64_t n) {
   const int target = pool.num_threads() * 4;
   return static_cast<int>(
       std::min<int64_t>(n, std::max(1, target)));
-}
-
-void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t n = end - begin;
-  if (n <= 0) return;
-  const int chunks = ParallelChunks(pool, n);
-  const int64_t per_chunk = (n + chunks - 1) / chunks;
-  pool.RunTasks(chunks, [&](int c) {
-    const int64_t b = begin + c * per_chunk;
-    const int64_t e = std::min(end, b + per_chunk);
-    if (b < e) body(b, e);
-  });
 }
 
 }  // namespace sqlnf

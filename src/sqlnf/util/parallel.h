@@ -1,9 +1,11 @@
 // Dependency-free parallel-execution utility: a fixed pool of worker
-// threads plus chunked ParallelFor / ParallelReduce helpers.
+// threads plus the chunked ParallelReduce helper.
 //
-// The hot paths of this engine — the O(n²) row-pair sweep behind
-// Section-7 discovery, the grouped validators' bucket scans, and
-// corpus-level mining — are embarrassingly parallel. Everything here is
+// The O(n²) row-pair sweep behind Section-7 discovery, the batch
+// validators' scan and their CodeHashIndex build, and corpus-level
+// mining are embarrassingly parallel; they are the pool's callers. The
+// query executor (engine/relops.h, decomposition/encoded_ops.h) runs
+// serially on the calling thread and takes no pool. Everything here is
 // deterministic by construction: work is split into chunks whose
 // boundaries depend only on the input size, and reductions fold the
 // per-chunk results left-to-right in chunk order. With `threads <= 1`
@@ -78,45 +80,6 @@ class ThreadPool {
 /// Number of chunks used to split `n` items for a pool: enough slack
 /// for dynamic load balancing without drowning in scheduling overhead.
 int ParallelChunks(const ThreadPool& pool, int64_t n);
-
-/// Splits [begin, end) into chunks and runs `body(chunk_begin,
-/// chunk_end)` for each, in parallel. Chunk boundaries depend only on
-/// the range and the pool size.
-void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t, int64_t)>& body);
-
-/// Two-phase count/fill emission — the deterministic parallel
-/// compaction behind the morsel-driven operators (hash-join probe,
-/// encoded selection, distinct-row emission). Each output item is
-/// produced by exactly one input chunk, and a chunk's output lands in
-/// one contiguous window whose offset is fixed by an exclusive prefix
-/// sum over the chunk counts — so the concatenated output order depends
-/// only on the input order, never on thread scheduling, and no per-chunk
-/// intermediate vectors are ever materialized.
-///
-///   1. `count(chunk_begin, chunk_end)` returns how many items the
-///      chunk will emit (it must be a pure function of the range);
-///   2. the exclusive prefix sum of the chunk counts fixes each chunk's
-///      output offset, and `reserve(total)` sizes the output once;
-///   3. `fill(chunk_begin, chunk_end, offset)` re-runs the chunk and
-///      writes its items at `offset`, `offset + 1`, ... — exactly
-///      `count` of them.
-///
-/// `pool == nullptr` runs the same two passes inline as one chunk.
-/// Returns the total number of items emitted.
-///
-/// The hot callers vectorize both phases through core/simd_kernels.h:
-/// counting is simd::CountBytes over match bytes and filling is
-/// simd::CompressStore into the chunk's window. Because each window is
-/// EXACTLY count items, fill kernels must never overstore past their
-/// window (CompressStore spills its vector locally and copies only the
-/// selected ids) — a full-vector store would race with the adjacent
-/// chunk's window.
-int64_t ParallelEmit(ThreadPool* pool, int64_t begin, int64_t end,
-                     const std::function<int64_t(int64_t, int64_t)>& count,
-                     const std::function<void(int64_t)>& reserve,
-                     const std::function<void(int64_t, int64_t, int64_t)>&
-                         fill);
 
 /// Maps [begin, end) in chunks and folds the per-chunk results
 /// LEFT-TO-RIGHT in chunk order — deterministic for non-commutative

@@ -509,8 +509,8 @@ TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
 // The encoded operators (decomposition/encoded_ops.h, the encoded DML
 // of engine/relops.h, and the Database columnar paths) must produce
 // multiset-identical results to their row-major reference counterparts
-// on the same instance. Joins run at threads ∈ {1, 4}; Theorem-11
-// lossless verdicts must agree between the two executors.
+// on the same instance. Theorem-11 lossless verdicts must agree
+// between the two executors.
 
 // Decoded result of an encoded operator vs its row-major reference:
 // multiset-equal under Table semantics AND code-level multiset-equal
@@ -526,22 +526,19 @@ void ExpectSameRelation(const Table& ref, const EncodedRelation& got,
 
 // Bit-identity between two runs of the same encoded operator: same
 // schema, same row count, and code-for-code equal column vectors — the
-// determinism contract of the morsel pipeline (multiset equality would
-// let a thread-count-dependent row order slip through).
-void ExpectBitIdentical(const EncodedRelation& serial,
-                        const EncodedRelation& parallel,
-                        const std::string& what) {
-  ASSERT_EQ(serial.schema.num_attributes(),
-            parallel.schema.num_attributes())
+// dispatch-level contract of the join (multiset equality would let a
+// level-dependent row order slip through).
+void ExpectBitIdentical(const EncodedRelation& want,
+                        const EncodedRelation& got, const std::string& what) {
+  ASSERT_EQ(want.schema.num_attributes(), got.schema.num_attributes())
       << what;
-  for (AttributeId a = 0; a < serial.schema.num_attributes(); ++a) {
-    EXPECT_EQ(serial.schema.attribute_name(a),
-              parallel.schema.attribute_name(a))
+  for (AttributeId a = 0; a < want.schema.num_attributes(); ++a) {
+    EXPECT_EQ(want.schema.attribute_name(a), got.schema.attribute_name(a))
         << what;
   }
-  ASSERT_EQ(serial.columns.num_rows(), parallel.columns.num_rows()) << what;
-  for (AttributeId a = 0; a < serial.schema.num_attributes(); ++a) {
-    EXPECT_EQ(serial.columns.column(a), parallel.columns.column(a))
+  ASSERT_EQ(want.columns.num_rows(), got.columns.num_rows()) << what;
+  for (AttributeId a = 0; a < want.schema.num_attributes(); ++a) {
+    EXPECT_EQ(want.columns.column(a), got.columns.column(a))
         << what << " col " << a;
   }
 }
@@ -603,7 +600,7 @@ TEST(DifferentialTest, ExecutorProjectionsAndJoins) {
 
     // Theorem 11 decomposition by a random FD: the encoded join of the
     // encoded projections must reproduce the row-major join, and the
-    // lossless-for-instance verdicts must agree — at both thread counts.
+    // lossless-for-instance verdicts must agree.
     // LHS must be non-empty: an empty X with XY = T makes the first
     // component X(T−XY) empty, which both executors reject.
     FunctionalDependency fd;
@@ -620,37 +617,24 @@ TEST(DifferentialTest, ExecutorProjectionsAndJoins) {
     ASSERT_OK(join_ref.status()) << what;
     auto lossless_ref = IsLosslessForInstance(table, d);
     ASSERT_OK(lossless_ref.status()) << what;
-    std::optional<EncodedRelation> serial_join;
-    for (int threads : {1, 2, 3, 8}) {
-      const ParallelOptions par{threads};
-      const std::string tag = what + " t=" + std::to_string(threads);
-      auto join_enc = JoinComponentsEncoded(schema, enc, d, par);
-      ASSERT_OK(join_enc.status()) << tag;
-      // Align the join's component-ordered columns with the reference.
-      std::vector<AttributeId> mapping;
-      for (AttributeId a = 0; a < join_ref.value().num_columns(); ++a) {
-        auto j = join_enc.value().schema.FindAttribute(
-            join_ref.value().schema().attribute_name(a));
-        ASSERT_OK(j.status()) << tag;
-        mapping.push_back(j.value());
-      }
-      const EncodedRelation aligned{
-          join_ref.value().schema(),
-          join_enc.value().columns.GatherColumns(mapping)};
-      ExpectSameRelation(join_ref.value(), aligned, tag + " [join]");
-
-      auto lossless_enc = IsLosslessForInstanceEncoded(schema, enc, d, par);
-      ASSERT_OK(lossless_enc.status()) << tag;
-      EXPECT_EQ(lossless_enc.value(), lossless_ref.value()) << tag;
-
-      // Every parallel run must reproduce the serial run bit for bit —
-      // not just the same multiset.
-      if (threads == 1) {
-        serial_join = std::move(join_enc).value();
-      } else {
-        ExpectBitIdentical(*serial_join, join_enc.value(), tag);
-      }
+    auto join_enc = JoinComponentsEncoded(schema, enc, d);
+    ASSERT_OK(join_enc.status()) << what;
+    // Align the join's component-ordered columns with the reference.
+    std::vector<AttributeId> mapping;
+    for (AttributeId a = 0; a < join_ref.value().num_columns(); ++a) {
+      auto j = join_enc.value().schema.FindAttribute(
+          join_ref.value().schema().attribute_name(a));
+      ASSERT_OK(j.status()) << what;
+      mapping.push_back(j.value());
     }
+    const EncodedRelation aligned{
+        join_ref.value().schema(),
+        join_enc.value().columns.GatherColumns(mapping)};
+    ExpectSameRelation(join_ref.value(), aligned, what + " [join]");
+
+    auto lossless_enc = IsLosslessForInstanceEncoded(schema, enc, d);
+    ASSERT_OK(lossless_enc.status()) << what;
+    EXPECT_EQ(lossless_enc.value(), lossless_ref.value()) << what;
     // Theorem 11 itself: when the instance satisfies the c-FD, the
     // decomposition must be lossless for it.
     fd.mode = Mode::kCertain;
@@ -660,13 +644,15 @@ TEST(DifferentialTest, ExecutorProjectionsAndJoins) {
   }
 }
 
-// --- Executor join corners: adversarial shapes for the morsel pipeline
-// — a single-hot-key skew table (one bucket holds every build row), a
-// zero-match join (count pass totals 0), empty inputs on either side,
-// and a join with no common columns (the cartesian path). Each is
-// crossed against the row-major join — including the exact emitted row
-// ORDER, which both executors pin to left-major / right-ascending —
-// and the parallel runs must reproduce the serial run bit for bit.
+// --- Executor join corners: adversarial shapes for the join's count
+// and fill loops — a single-hot-key skew table (one bucket holds every
+// build row), hot-key left inputs around the 512-row hashing tile, a
+// zero-match join (the count loop totals 0), empty inputs on either
+// side, and a join with no common columns (the cartesian path). Each
+// is crossed against the row-major join — including the exact emitted
+// row ORDER, which both executors pin to left-major / right-ascending
+// — and every dispatch level must reproduce the scalar run bit for
+// bit.
 
 Table MakeJoinInput(const std::string& name,
                     const std::vector<std::string>& attrs,
@@ -687,38 +673,37 @@ void CheckJoinCorner(const Table& left, const Table& right,
   ASSERT_OK(ref.status()) << what;
   const EncodedRelation el = EncodedRelation::FromTable(left);
   const EncodedRelation er = EncodedRelation::FromTable(right);
-  // The serial scalar run anchors the sweep: every level × thread-count
-  // combination must reproduce it bit for bit (the hash/probe/emit
-  // kernels are bit-identical across dispatch levels by contract).
-  std::optional<EncodedRelation> serial;
+  // The scalar run anchors the sweep: every level must reproduce it bit
+  // for bit (the hash/probe/emit kernels are bit-identical across
+  // dispatch levels by contract).
+  std::optional<EncodedRelation> scalar;
   LevelSweepGuard guard;
   for (const simd::Level level : SweepLevels()) {
     simd::SetLevelForTesting(level);
-    for (int threads : {1, 2, 3, 8}) {
-      const std::string tag = what + " t=" + std::to_string(threads) +
-                              " level " + simd::LevelName(level);
-      auto got = EqualityJoinEncoded(el, er, "j", ParallelOptions{threads});
-      ASSERT_OK(got.status()) << tag;
-      if (!serial.has_value()) {
-        ExpectSameRelation(ref.value(), got.value(), what + " [serial]");
-        const Table decoded = got.value().ToTable();
-        ASSERT_EQ(ref.value().num_rows(), decoded.num_rows()) << what;
-        for (int i = 0; i < decoded.num_rows(); ++i) {
-          ASSERT_EQ(ref.value().row(i), decoded.row(i))
-              << what << " row " << i;
-        }
-        serial = std::move(got).value();
-      } else {
-        ExpectBitIdentical(*serial, got.value(), tag);
+    const std::string tag = what + " level " + simd::LevelName(level);
+    auto got = EqualityJoinEncoded(el.schema, el.columns, er.schema,
+                                   er.columns, "j");
+    ASSERT_OK(got.status()) << tag;
+    if (!scalar.has_value()) {
+      ExpectSameRelation(ref.value(), got.value(), what + " [scalar]");
+      const Table decoded = got.value().ToTable();
+      ASSERT_EQ(ref.value().num_rows(), decoded.num_rows()) << what;
+      for (int i = 0; i < decoded.num_rows(); ++i) {
+        ASSERT_EQ(ref.value().row(i), decoded.row(i))
+            << what << " row " << i;
       }
+      scalar = std::move(got).value();
+    } else {
+      ExpectBitIdentical(*scalar, got.value(), tag);
     }
   }
 }
 
 TEST(DifferentialTest, ExecutorJoinCorners) {
   // Skew: every left and right row carries the same key, so the CSR
-  // index degenerates to one full bucket and each left morsel emits
-  // |right| rows. A sprinkle of ⊥ keys exercises kNullCode equality.
+  // index degenerates to one full bucket and each left row emits the
+  // right rows of its key. A sprinkle of ⊥ keys exercises kNullCode
+  // equality.
   {
     std::vector<std::vector<Value>> lrows, rrows;
     for (int i = 0; i < 400; ++i) {
@@ -731,6 +716,23 @@ TEST(DifferentialTest, ExecutorJoinCorners) {
     }
     CheckJoinCorner(MakeJoinInput("L", {"k", "l"}, lrows),
                     MakeJoinInput("R", {"k", "r"}, rrows), "skew");
+  }
+
+  // Hot-key left inputs one row short of, at, one row past and one row
+  // past two 512-row hashing tiles: both loops hash the left rows a
+  // tile at a time, so a row lost or repeated at a tile seam shows in
+  // the row order.
+  for (int left : {511, 512, 513, 1025}) {
+    std::vector<std::vector<Value>> lrows, rrows;
+    for (int i = 0; i < left; ++i) {
+      lrows.push_back({Value::Str("hot"), Value::Int(i)});
+    }
+    for (int j = 0; j < 3; ++j) {
+      rrows.push_back({Value::Str("hot"), Value::Int(j)});
+    }
+    CheckJoinCorner(MakeJoinInput("L", {"k", "l"}, lrows),
+                    MakeJoinInput("R", {"k", "r"}, rrows),
+                    "hot key, " + std::to_string(left) + " left rows");
   }
 
   // Zero matches: shared column, disjoint key sets — the count pass
@@ -778,6 +780,29 @@ TEST(DifferentialTest, ExecutorJoinCorners) {
   }
 }
 
+// --- The join's row bound. Two one-column 46,341-row tables with
+// different column names join as a cartesian product of 46,341² =
+// 2,147,488,281 rows, just past the 2^31 − 1 = 2,147,483,647 that an
+// int row id can address. The join must refuse it from the row counts
+// before it allocates the 2 × 8 GiB of output codes.
+TEST(DifferentialTest, ExecutorJoinRefusesResultsPast2To31Rows) {
+  constexpr int kRows = 46341;
+  std::vector<std::vector<Value>> lrows, rrows;
+  for (int i = 0; i < kRows; ++i) {
+    lrows.push_back({Value::Int(i)});
+    rrows.push_back({Value::Int(i)});
+  }
+  const EncodedRelation left =
+      EncodedRelation::FromTable(MakeJoinInput("L", {"a"}, lrows));
+  const EncodedRelation right =
+      EncodedRelation::FromTable(MakeJoinInput("R", {"b"}, rrows));
+  auto got = EqualityJoinEncoded(left.schema, left.columns, right.schema,
+                                 right.columns, "j");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(got.status().message(), "join result exceeds 2^31 rows");
+}
+
 // --- Executor sweep 2: DML on codes vs DML on rows. SelectRowsEncoded
 // and the catalog's UPDATE / DELETE (Database::Update/Delete, with an
 // empty Σ) against the row-major reference operators, which evaluate
@@ -796,8 +821,8 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
     const Predicate where = RandomEqualities(&rng, table);
     auto pred = [&](const Tuple& t) { return MatchesPredicate(t, where); };
 
-    // Selection: same rows, in the same (ascending) scan order, and the
-    // morsel-parallel scan returns the exact same vector as serial.
+    // Selection: same rows, in the same (ascending) scan order, at
+    // every dispatch level.
     const EncodedTable enc(table);
     const Table sel_ref = SelectWhere(table, pred);
     const std::vector<int> sel = SelectRowsEncoded(enc, where);
@@ -807,16 +832,11 @@ TEST(DifferentialTest, ExecutorDmlOnCodes) {
       EXPECT_EQ(sel_ref.row(i), sel_enc.row(i)) << what << " row " << i;
     }
     {
-      // Same selection vector at every dispatch level × thread count.
       LevelSweepGuard guard;
       for (const simd::Level level : SweepLevels()) {
         simd::SetLevelForTesting(level);
-        for (int threads : {1, 2, 3, 8}) {
-          EXPECT_EQ(SelectRowsEncoded(enc, where, ParallelOptions{threads}),
-                    sel)
-              << what << " t=" << threads << " level "
-              << simd::LevelName(level);
-        }
+        EXPECT_EQ(SelectRowsEncoded(enc, where), sel)
+            << what << " level " << simd::LevelName(level);
       }
     }
 

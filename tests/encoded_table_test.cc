@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "sqlnf/core/encoded_table.h"
-#include "sqlnf/util/parallel.h"
 #include "sqlnf/util/rng.h"
 #include "test_util.h"
 
@@ -189,10 +188,10 @@ TEST(EncodedTableTest, RandomizedMaintenanceMatchesReEncode) {
   }
 }
 
-TEST(EncodedTableTest, DistinctRowsFirstOccurrenceAtAnyThreadCount) {
+TEST(EncodedTableTest, DistinctRowsFirstOccurrence) {
   // The CSR-indexed DistinctRows must return ascending first-occurrence
-  // ids — the contract behind set projection — and be identical with
-  // and without a pool. Random tables with heavy duplication and ⊥.
+  // ids — the contract behind set projection. Random tables with heavy
+  // duplication and ⊥.
   Rng rng(321);
   for (int iter = 0; iter < 30; ++iter) {
     const int cols = static_cast<int>(rng.Uniform(1, 4));
@@ -220,11 +219,6 @@ TEST(EncodedTableTest, DistinctRowsFirstOccurrenceAtAnyThreadCount) {
     }
 
     EXPECT_EQ(enc.DistinctRows(), expected) << "iter=" << iter;
-    for (int threads : {2, 3, 8}) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(enc.DistinctRows(&pool), expected)
-          << "iter=" << iter << " threads=" << threads;
-    }
   }
 }
 

@@ -1,12 +1,10 @@
-// The parallel-execution utility: every task runs exactly once, chunked
-// helpers cover their ranges, and ordered reduction is deterministic
-// for any thread count.
+// The parallel-execution utility: every task runs exactly once, and
+// ordered reduction is deterministic for any thread count.
 
 #include "sqlnf/util/parallel.h"
 
 #include <atomic>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,18 +40,6 @@ TEST(ThreadPoolTest, ZeroAndOneTasks) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  for (int threads : {1, 3, 8}) {
-    ThreadPool pool(threads);
-    const int64_t n = 12345;
-    std::vector<std::atomic<int>> hits(n);
-    ParallelFor(pool, 0, n, [&](int64_t b, int64_t e) {
-      for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
 TEST(ParallelReduceTest, OrderedFoldIsDeterministic) {
   // Concatenation is non-commutative: the fold must visit chunks in
   // order regardless of which thread finished first.
@@ -74,85 +60,6 @@ TEST(ParallelReduceTest, OrderedFoldIsDeterministic) {
           return acc;
         });
     EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelEmitTest, CompactionMatchesSerialAtAnyThreadCount) {
-  // Keep every multiple of 3 from [0, n). The serial (pool == nullptr)
-  // run is the reference; every pool size must emit the exact same
-  // vector — same values, same order — and report the same total.
-  const int64_t n = 9871;
-  auto emit = [&](ThreadPool* pool) {
-    std::vector<int64_t> out;
-    const int64_t total = ParallelEmit(
-        pool, 0, n,
-        [](int64_t b, int64_t e) {
-          int64_t c = 0;
-          for (int64_t i = b; i < e; ++i) {
-            if (i % 3 == 0) ++c;
-          }
-          return c;
-        },
-        [&](int64_t t) { out.resize(t); },
-        [&](int64_t b, int64_t e, int64_t offset) {
-          for (int64_t i = b; i < e; ++i) {
-            if (i % 3 == 0) out[offset++] = i;
-          }
-        });
-    EXPECT_EQ(total, static_cast<int64_t>(out.size()));
-    return out;
-  };
-  const std::vector<int64_t> expected = emit(nullptr);
-  EXPECT_EQ(expected.size(), static_cast<size_t>((n + 2) / 3));
-  for (int threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(emit(&pool), expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelEmitTest, EmptyRangeStillReserves) {
-  ThreadPool pool(4);
-  bool reserved = false;
-  int64_t reserved_total = -1;
-  const int64_t total = ParallelEmit(
-      &pool, 5, 5,
-      [](int64_t, int64_t) { return int64_t{99}; },
-      [&](int64_t t) {
-        reserved = true;
-        reserved_total = t;
-      },
-      [](int64_t, int64_t, int64_t) { FAIL() << "fill on empty range"; });
-  EXPECT_EQ(total, 0);
-  EXPECT_TRUE(reserved);
-  EXPECT_EQ(reserved_total, 0);
-}
-
-TEST(ParallelEmitTest, VariableChunkCountsGetContiguousWindows) {
-  // Chunk outputs of wildly different sizes (row i emits i % 5 items)
-  // must still land in one gap-free output: slot k holds the k-th item
-  // of the serial emission order.
-  const int64_t n = 4096;
-  std::vector<std::pair<int64_t, int>> expected;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int r = 0; r < i % 5; ++r) expected.emplace_back(i, r);
-  }
-  for (int threads : {2, 5}) {
-    ThreadPool pool(threads);
-    std::vector<std::pair<int64_t, int>> out;
-    ParallelEmit(
-        &pool, 0, n,
-        [](int64_t b, int64_t e) {
-          int64_t c = 0;
-          for (int64_t i = b; i < e; ++i) c += i % 5;
-          return c;
-        },
-        [&](int64_t t) { out.resize(t); },
-        [&](int64_t b, int64_t e, int64_t offset) {
-          for (int64_t i = b; i < e; ++i) {
-            for (int r = 0; r < i % 5; ++r) out[offset++] = {i, r};
-          }
-        });
-    EXPECT_EQ(out, expected) << "threads=" << threads;
   }
 }
 

@@ -8,10 +8,9 @@
 //   2. MatchesPredicate on the tree's DNF flattening (row-major over
 //      the engine's Predicate shape),
 //   3. SelectRowsEncoded on the DNF against the dictionary encoding,
-//      at threads ∈ {1, 2, 3, 8} × every SIMD dispatch level the
-//      machine supports (compiled branch-free code intervals through
-//      the simd_kernels.h scan kernels and the ParallelEmit count/fill
-//      path).
+//      at every SIMD dispatch level the machine supports (compiled
+//      branch-free code intervals through the simd_kernels.h scan and
+//      compress-store kernels).
 //
 // All paths must agree row for row — the SIMD level sweep is the
 // executable form of the kernel bit-identity contract. A fourth pass
@@ -300,7 +299,7 @@ void CheckSqlPath(const Table& table, const Predicate& dnf,
 // ------------------------------------------------------------ the fuzz
 
 // One random (table, tree) case checked end to end across all paths
-// and thread counts.
+// and dispatch levels.
 void CheckCase(Rng* rng, int case_id) {
   const int num_columns = static_cast<int>(rng->Uniform(2, 5));
   const TableSchema schema =
@@ -333,14 +332,8 @@ void CheckCase(Rng* rng, int case_id) {
   LevelSweepGuard guard;
   for (const simd::Level level : SweepLevels()) {
     simd::SetLevelForTesting(level);
-    for (int threads : {1, 2, 3, 8}) {
-      ParallelOptions par;
-      par.threads = threads;
-      const std::vector<int> got = SelectRowsEncoded(enc, dnf, par);
-      ASSERT_EQ(got, expected)
-          << "case " << case_id << " threads " << threads << " level "
-          << simd::LevelName(level);
-    }
+    ASSERT_EQ(SelectRowsEncoded(enc, dnf), expected)
+        << "case " << case_id << " level " << simd::LevelName(level);
     ASSERT_EQ(SelectRowsEncoded(compacted, dnf), expected)
         << "case " << case_id << " after compaction, level "
         << simd::LevelName(level);
@@ -348,7 +341,7 @@ void CheckCase(Rng* rng, int case_id) {
   CheckSqlPath(table, dnf, expected, "case " + std::to_string(case_id));
 }
 
-TEST(PredicateFuzz, TreesMatchOracleAtEveryThreadCount) {
+TEST(PredicateFuzz, TreesMatchOracleAtEveryLevel) {
   // ≥ 3 trees per case; the nightly multiplier (SQLNF_DIFF_ITERS ≥ 3)
   // pushes the sweep past 1000 trees.
   const int cases = ScaledIters(400);
@@ -441,38 +434,42 @@ TEST(PredicateFuzz, SqlLiteralsAtTheInt64Bounds) {
 
 // ------------------------------------------- block/vector tail directed
 
-// Runs one (table, predicate) pair through every dispatch level at a
-// serial and a parallel thread count and demands oracle agreement.
+// Runs one (table, predicate) pair through every dispatch level and
+// demands oracle agreement.
 void CheckAllLevels(const Table& table, const EncodedTable& enc,
                     const Predicate& dnf, const std::string& label) {
   const std::vector<int> expected = RowMajorSelect(table, dnf);
   LevelSweepGuard guard;
   for (const simd::Level level : SweepLevels()) {
     simd::SetLevelForTesting(level);
-    for (int threads : {1, 3}) {
-      ParallelOptions par;
-      par.threads = threads;
-      ASSERT_EQ(SelectRowsEncoded(enc, dnf, par), expected)
-          << label << " threads " << threads << " level "
-          << simd::LevelName(level);
-    }
+    ASSERT_EQ(SelectRowsEncoded(enc, dnf), expected)
+        << label << " level " << simd::LevelName(level);
   }
 }
 
 // EvalBlock tail handling: lengths below one vector, lengths that are
-// not a multiple of any vector width (8/4), and the exact kBlock=2048
-// boundary (2049 = one full block plus a one-row tail).
+// not a multiple of any vector width (8/4), and the kBlock=2048 seams
+// of the one-pass scan: 2049 (one full block plus a one-row tail),
+// 4095–4097 around the second block boundary, and 6145 (three full
+// blocks plus a one-row tail). Column b marks the first and the last
+// row of each block, so `b = 1` keeps exactly the rows at the seams.
 TEST(PredicateFuzz, BlockAndVectorTailsAgreeAtEveryLevel) {
-  const TableSchema schema = Schema("a");
-  for (int rows : {1, 3, 7, 8, 9, 37, 2047, 2048, 2049}) {
+  constexpr int kBlock = CompiledPredicate::kBlock;
+  const TableSchema schema = Schema("ab");
+  for (int rows :
+       {1, 3, 7, 8, 9, 37, 2047, 2048, 2049, 4095, 4096, 4097, 6145}) {
     Table table(schema);
     for (int i = 0; i < rows; ++i) {
+      const bool edge =
+          i % kBlock == 0 || i % kBlock == kBlock - 1 || i == rows - 1;
       ASSERT_OK(table.AddRow(Tuple(
-          {i % 11 == 3 ? Value::Null() : Value::Int(i % 5)})));
+          {i % 11 == 3 ? Value::Null() : Value::Int(i % 5),
+           Value::Int(edge ? 1 : 0)})));
     }
     const EncodedTable enc(table);
 
-    // eq, interval, IN (byte table), and a two-disjunct OR merge.
+    // eq, interval, IN (byte table), a two-disjunct OR merge, and the
+    // block-edge rows.
     Predicate two = Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(0))});
     two.disjuncts.push_back({Cmp(0, CompareOp::kEq, Value::Int(4))});
     const Predicate preds[] = {
@@ -481,6 +478,7 @@ TEST(PredicateFuzz, BlockAndVectorTailsAgreeAtEveryLevel) {
         Predicate::And({Between(0, Value::Int(1), Value::Int(3))}),
         Predicate::And({In(0, {Value::Int(0), Value::Int(4)})}),
         std::move(two),
+        Predicate::And({Cmp(1, CompareOp::kEq, Value::Int(1))}),
     };
     for (size_t p = 0; p < std::size(preds); ++p) {
       CheckAllLevels(table, enc, preds[p],

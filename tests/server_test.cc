@@ -84,6 +84,36 @@ TEST(ServerTest, EndpointsRoundTrip) {
   EXPECT_EQ(v.Find("tables")->int_value(), 1);
 }
 
+// GET /health only counts tables. Publishing a snapshot there would
+// make the next write clone every column it touches, since the fresh
+// epoch shares them; the write after /health must land in the same
+// epoch as the write before it.
+TEST(ServerTest, HealthPublishesNoSnapshot) {
+  TestServer ts;
+  ASSERT_OK_AND_ASSIGN(HttpConnection conn,
+                       HttpConnection::Open(ts.server.port()));
+  ASSERT_OK_AND_ASSIGN(
+      HttpClientResponse r,
+      conn.Post("/query", R"({"sql":"CREATE TABLE t (a TEXT);"})"));
+  ASSERT_EQ(r.status, 200);
+  ASSERT_OK_AND_ASSIGN(const TableSnapshot before, ts.db.GetSnapshot("t"));
+
+  ASSERT_OK_AND_ASSIGN(
+      r, conn.Post("/query", R"({"sql":"INSERT INTO t VALUES ('1');"})"));
+  ASSERT_EQ(r.status, 200);
+  ASSERT_OK_AND_ASSIGN(r, conn.Get("/health"));
+  ASSERT_EQ(r.status, 200);
+  ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(r.body));
+  EXPECT_EQ(v.Find("tables")->int_value(), 1);
+  ASSERT_OK_AND_ASSIGN(
+      r, conn.Post("/query", R"({"sql":"INSERT INTO t VALUES ('2');"})"));
+  ASSERT_EQ(r.status, 200);
+
+  ASSERT_OK_AND_ASSIGN(const TableSnapshot after, ts.db.GetSnapshot("t"));
+  EXPECT_EQ(after.epoch, before.epoch + 1);
+  EXPECT_EQ(after.num_rows(), 2);
+}
+
 TEST(ServerTest, ErrorsAreMachineReadable) {
   TestServer ts;
   ASSERT_OK_AND_ASSIGN(HttpConnection conn,

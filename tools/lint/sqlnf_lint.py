@@ -32,8 +32,8 @@ preference:
 
   mutable-codes         EncodedTable::mutable_codes() bypasses the
                         dictionary/null-count bookkeeping. Only the
-                        encoded-table core and the two-phase emission
-                        sites in encoded_ops.cc / relops.cc may use it.
+                        encoded-table core and the equality join's fill
+                        loop in encoded_ops.cc may use it.
 
   unregistered-test     Every tests/*_test.cc must be listed in
                         SQLNF_TESTS in tests/CMakeLists.txt (and every
@@ -245,7 +245,6 @@ MUTABLE_CODES_ALLOWLIST = {
     "src/sqlnf/core/encoded_table.h",
     "src/sqlnf/core/encoded_table.cc",
     "src/sqlnf/decomposition/encoded_ops.cc",
-    "src/sqlnf/engine/relops.cc",
 }
 
 
