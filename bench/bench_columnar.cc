@@ -216,7 +216,8 @@ int RunSimdE19() {
        }},
       {"compress_store",
        [&](simd::Level l) {
-         sink += simd::CompressStore(l, src_bytes.data(), kN, 0, sel.data());
+         sink = sink +
+                simd::CompressStore(l, src_bytes.data(), kN, 0, sel.data());
        }},
       {"fnv_mix_codes",
        [&](simd::Level l) {
@@ -480,7 +481,7 @@ int Run() {
       Table hit = SelectWhere(big, [&](const Tuple& t) {
         return t[city] == city_value(i % 38);
       });
-      sink += hit.num_rows();
+      sink = sink + hit.num_rows();
     }
   });
   double enc_scan_ms = TimeMs([&] {
@@ -488,7 +489,7 @@ int Run() {
       const std::vector<int> sel = SelectRowsEncoded(
           *enc,
           Predicate::And({Cmp(city, CompareOp::kEq, city_value(i % 38))}));
-      sink += static_cast<long long>(enc->GatherRows(sel).num_rows());
+      sink = sink + static_cast<long long>(enc->GatherRows(sel).num_rows());
     }
   });
   for (int i = 0; i < 38; ++i) {  // equal hit sets, checked once per group

@@ -99,8 +99,7 @@ int Run() {
   // Corpus-level parallelism: the three datasets mined end-to-end as
   // one task per table (the serial reference is the sum timed above).
   double corpus_par_ms = TimeMs([&] {
-    ThreadPool pool(kThreads);
-    pool.RunTasks(3, [&](int i) {
+    ForkJoin(kThreads, 3, [&](int i) {
       DiscoveryOptions options;
       options.max_rows = kAdultCap;
       options.hitting.max_size = 8;

@@ -30,7 +30,8 @@ int Run() {
               corpus.size());
 
   // One classification per table; mined serially for the reference
-  // timing, then re-mined corpus-level with one table per pool task.
+  // timing, then re-mined corpus-level with one table per fork-join
+  // task.
   auto mine_one = [](const Table& table) {
     DiscoveryOptions options;
     options.hitting.max_size = 5;
@@ -49,10 +50,8 @@ int Run() {
   const int kThreads = 4;
   std::vector<FdClassification> classified_par(corpus.size());
   double parallel_ms = TimeMs([&] {
-    ThreadPool pool(kThreads);
-    pool.RunTasks(static_cast<int>(corpus.size()), [&](int i) {
-      classified_par[i] = mine_one(corpus[i]);
-    });
+    ForkJoin(kThreads, static_cast<int>(corpus.size()),
+             [&](int i) { classified_par[i] = mine_one(corpus[i]); });
   });
 
   int nn = 0, p = 0, c = 0, t = 0, lambda = 0;

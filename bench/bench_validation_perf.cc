@@ -59,16 +59,11 @@ int Run() {
   }
   std::printf("\n\n");
 
-  // (1) consistency validation, serial and with the parallel bucket
-  // scanner (explicit thread count; see util/parallel.h).
-  const ParallelOptions par{4};
+  // (1) consistency validation.
   const FunctionalDependency& fd = sigma.fds()[0];
   bool fd_ok = false;
   double fd_ms =
       TimeMs([&] { fd_ok = !FindFdViolationFast(big, fd).has_value(); });
-  bool fd_ok_par = false;
-  double fd_par_ms = TimeMs(
-      [&] { fd_ok_par = !FindFdViolationFast(big, fd, par).has_value(); });
 
   KeyConstraint key = KeyConstraint::Certain(fd.lhs);
   // The first set component is [new,city,url,dmerc_rgn,status]; its key
@@ -92,16 +87,11 @@ int Run() {
   double key_ms = TimeMs([&] {
     key_ok = !FindKeyViolationFast(*component, component_key).has_value();
   });
-  bool key_ok_par = false;
-  double key_par_ms = TimeMs([&] {
-    key_ok_par =
-        !FindKeyViolationFast(*component, component_key, par).has_value();
-  });
 
   // (1b) tuple-vs-encoded ablation on the 173k-row table: the legacy
   // tuple-hashing path, the columnar kernel including its encode step,
   // and the kernel alone on a prebuilt encoding (the enforcer/discovery
-  // situation), serial and at 4 threads.
+  // situation).
   bool abl_ok = true;
   double tuple_ms =
       TimeMs([&] { abl_ok &= !FindFdViolationTuple(big, fd).has_value(); });
@@ -112,8 +102,6 @@ int Run() {
   });
   double kernel_ms = TimeMs(
       [&] { abl_ok &= !FindFdViolationEncoded(enc, fd).has_value(); });
-  double kernel_par_ms = TimeMs(
-      [&] { abl_ok &= !FindFdViolationEncoded(enc, fd, par).has_value(); });
 
   // (2) query performance.
   int64_t scanned = 0;
@@ -133,15 +121,9 @@ int Run() {
   std::snprintf(buf, sizeof(buf), "%.1f", fd_ms);
   tt.AddRow({"validate c-FD on non-normalized (serial)", "122", buf,
              fd_ok ? "satisfied" : "VIOLATED"});
-  std::snprintf(buf, sizeof(buf), "%.1f", fd_par_ms);
-  tt.AddRow({"validate c-FD on non-normalized (4 threads)", "-", buf,
-             fd_ok_par ? "satisfied" : "VIOLATED"});
   std::snprintf(buf, sizeof(buf), "%.1f", key_ms);
   tt.AddRow({"validate c-key on normalized (serial)", "15", buf,
              key_ok ? "satisfied" : "VIOLATED"});
-  std::snprintf(buf, sizeof(buf), "%.1f", key_par_ms);
-  tt.AddRow({"validate c-key on normalized (4 threads)", "-", buf,
-             key_ok_par ? "satisfied" : "VIOLATED"});
   std::snprintf(buf, sizeof(buf), "%.1f", tuple_ms);
   tt.AddRow({"c-FD tuple-hashing path (pre-columnar)", "-", buf,
              abl_ok ? "satisfied" : "VIOLATED"});
@@ -149,9 +131,6 @@ int Run() {
   tt.AddRow({"c-FD dictionary encode (lhs+rhs columns)", "-", buf, ""});
   std::snprintf(buf, sizeof(buf), "%.1f", kernel_ms);
   tt.AddRow({"c-FD encoded kernel, prebuilt encoding", "-", buf,
-             abl_ok ? "satisfied" : "VIOLATED"});
-  std::snprintf(buf, sizeof(buf), "%.1f", kernel_par_ms);
-  tt.AddRow({"c-FD encoded kernel, prebuilt, 4 threads", "-", buf,
              abl_ok ? "satisfied" : "VIOLATED"});
   std::snprintf(buf, sizeof(buf), "%.1f", scan_ms);
   tt.AddRow({"SELECT * non-normalized", "2957", buf,
@@ -164,9 +143,6 @@ int Run() {
   std::printf("shape checks: key validation %.1fx cheaper than FD "
               "validation; join/scan ratio %.2f (paper: 8.1x, 1.07)\n",
               fd_ms / key_ms, join_ms / scan_ms);
-  std::printf("parallel validation (threads=%d): c-FD %.2fx, c-key "
-              "%.2fx vs serial (speedup tracks available cores)\n",
-              par.threads, fd_ms / fd_par_ms, key_ms / key_par_ms);
   std::printf("encoded vs tuple: kernel %.2fx faster than the "
               "tuple-hashing path (%.2fx including the encode)\n",
               tuple_ms / kernel_ms, tuple_ms / (encode_ms + kernel_ms));
@@ -176,7 +152,6 @@ int Run() {
                 "tuple path\n");
   }
   if (!fd_ok || !key_ok || !abl_ok || !encoded_wins ||
-      fd_ok_par != fd_ok || key_ok_par != key_ok ||
       scanned != big.num_rows() || joined_rows != big.num_rows()) {
     std::printf("ERROR: correctness check failed\n");
     return 1;

@@ -162,7 +162,7 @@ int Run() {
           "SELECT * FROM " + table + " WHERE city = 'City g1-" +
           std::to_string(i % 38) + "';");
       bench::CheckOk(rs.status, "select");
-      sink += rs.statements[0].rows->num_rows();
+      sink = sink + rs.statements[0].rows->num_rows();
     }
   };
   denorm_lat.select_ms =

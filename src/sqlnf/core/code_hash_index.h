@@ -3,8 +3,8 @@
 // behind distinct-row emission and the batch validators.
 //
 // Instead of an unordered_map<hash, vector<row>> (one heap allocation
-// per bucket, pointer-chasing probes, serial build), the index is three
-// contiguous arrays:
+// per bucket, pointer-chasing probes), the index is three contiguous
+// arrays:
 //
 //   hashes_[row]       FNV-1a over the row's key codes
 //   starts_[b .. b+1]  the CSR window of bucket b in row_ids_
@@ -12,13 +12,11 @@
 //
 // The bucket array is a power of two sized to hold the rows at load
 // factor <= 1, and the build is the two-phase count -> exclusive prefix
-// sum -> fill pass: each build chunk histograms its rows per bucket,
-// the serial prefix sum fixes every (chunk, bucket) write cursor, and
-// the fill pass scatters row ids with no synchronization. Because the
-// cursors are ordered chunk-major within each bucket and chunks cover
-// ascending row ranges, every bucket lists its rows in ascending order
-// regardless of the thread count — which is what fixes the join's
-// right-row order and the validators' witness.
+// sum -> fill pass: the count pass histograms the rows per bucket, the
+// prefix sum fixes each bucket's write cursor, and the fill pass
+// scatters row ids in ascending row order, so every bucket lists its
+// rows in ascending order — which is what fixes the join's right-row
+// order and the validators' witness.
 //
 // Hash collisions are NOT resolved here: a bucket may mix genuinely
 // different keys, and callers confirm equality on the key codes (the
@@ -32,16 +30,12 @@
 
 namespace sqlnf {
 
-class ThreadPool;
-
 class CodeHashIndex {
  public:
   /// Indexes `rows` rows keyed on the listed code columns (each of size
-  /// `rows`; the list may be empty, giving one all-rows bucket). With a
-  /// pool the count and fill passes run chunk-parallel; `nullptr`
-  /// builds serially. Either way the layout is identical.
+  /// `rows`; the list may be empty, giving one all-rows bucket).
   CodeHashIndex(const std::vector<const std::vector<uint32_t>*>& keys,
-                int rows, ThreadPool* pool);
+                int rows);
 
   /// FNV-1a over one row's codes in the key columns — the exact mix
   /// probe sides must use.

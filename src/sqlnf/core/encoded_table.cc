@@ -388,7 +388,7 @@ std::vector<int> EncodedTable::DistinctRows() const {
   // the bucket walk (ascending) reaches the row itself before any equal
   // row. Duplicates stop at their group's first row, so the walk is
   // O(1) for them; only hash collisions scan further.
-  const CodeHashIndex index(cols, num_rows_, nullptr);
+  const CodeHashIndex index(cols, num_rows_);
   auto is_first = [&](int row) {
     const CodeHashIndex::Range bucket = index.Bucket(index.row_hash(row));
     for (const int* p = bucket.begin; p != bucket.end; ++p) {

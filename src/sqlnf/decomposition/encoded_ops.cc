@@ -9,13 +9,11 @@
 #include <utility>
 
 #include "sqlnf/core/code_hash_index.h"
+#include "sqlnf/util/fnv.h"
 
 namespace sqlnf {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 std::vector<AttributeId> ToColumnList(const AttributeSet& x) {
   std::vector<AttributeId> cols;
@@ -187,7 +185,7 @@ Result<EncodedRelation> EqualityJoinEncoded(const TableSchema& ls,
   std::vector<const std::vector<uint32_t>*> right_keys;
   right_keys.reserve(common.size());
   for (const std::vector<uint32_t>& col : rkey) right_keys.push_back(&col);
-  const CodeHashIndex index(right_keys, right_rows, nullptr);
+  const CodeHashIndex index(right_keys, right_rows);
 
   std::vector<const std::vector<uint32_t>*> left_keys;
   left_keys.reserve(common.size());
@@ -331,10 +329,9 @@ bool SameMultisetEncoded(const EncodedTable& a, const EncodedTable& b) {
   std::unordered_map<uint64_t, std::vector<Entry>> buckets;
   buckets.reserve(static_cast<size_t>(rows));
   auto hash_a = [&](int row) {
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnv64OffsetBasis;
     for (AttributeId col = 0; col < cols; ++col) {
-      h ^= a.code(col, row);
-      h *= kFnvPrime;
+      h = FnvMix(h, a.code(col, row));
     }
     return h;
   };
@@ -358,10 +355,9 @@ bool SameMultisetEncoded(const EncodedTable& a, const EncodedTable& b) {
     if (!found) bucket.push_back({i, 1});
   }
   for (int j = 0; j < rows; ++j) {
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnv64OffsetBasis;
     for (AttributeId col = 0; col < cols; ++col) {
-      h ^= b_code(col, j);
-      h *= kFnvPrime;
+      h = FnvMix(h, b_code(col, j));
     }
     auto it = buckets.find(h);
     if (it == buckets.end()) return false;

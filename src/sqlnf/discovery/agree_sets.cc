@@ -5,6 +5,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "sqlnf/util/parallel.h"
+
 namespace sqlnf {
 
 PairAgreement ComputeAgreement(const EncodedTable& enc, int row1,
@@ -57,12 +59,11 @@ void SweepSlice(const EncodedTable& enc, int n, int row_begin, int row_end,
 }  // namespace
 
 std::vector<PairAgreement> CollectAgreements(const EncodedTable& enc,
-                                             int max_rows,
-                                             const ParallelOptions& par) {
+                                             int max_rows, int threads) {
   int n = enc.num_rows();
   if (max_rows > 0 && max_rows < n) n = max_rows;
 
-  if (par.threads <= 1 || n < 256) {
+  if (threads <= 1 || n < 256) {
     SeenSet seen;
     std::vector<PairAgreement> out;
     SweepSlice(enc, n, 0, n, &seen, &out);
@@ -73,8 +74,7 @@ std::vector<PairAgreement> CollectAgreements(const EncodedTable& enc,
   // PAIRS (outer row i owns n-1-i pairs): the boundary for cumulative
   // fraction f of the triangle is b = n·(1 − √(1−f)). Chunks exceed the
   // thread count for dynamic load balancing.
-  ThreadPool pool(par.threads);
-  const int chunks = std::min(n, pool.num_threads() * 8);
+  const int chunks = std::min(n, threads * 8);
   std::vector<int> bounds(chunks + 1, n);
   bounds[0] = 0;
   for (int c = 1; c < chunks; ++c) {
@@ -89,7 +89,7 @@ std::vector<PairAgreement> CollectAgreements(const EncodedTable& enc,
     std::vector<PairAgreement> out;
   };
   std::vector<Slice> slices(chunks);
-  pool.RunTasks(chunks, [&](int c) {
+  ForkJoin(threads, chunks, [&](int c) {
     SweepSlice(enc, n, bounds[c], bounds[c + 1], &slices[c].seen,
                &slices[c].out);
   });

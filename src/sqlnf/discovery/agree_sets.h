@@ -24,7 +24,6 @@
 
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
-#include "sqlnf/util/parallel.h"
 #include "sqlnf/util/status.h"
 
 namespace sqlnf {
@@ -43,13 +42,14 @@ PairAgreement ComputeAgreement(const EncodedTable& enc, int row1, int row2);
 /// capped at `max_rows` rows (ascending prefix) to bound the quadratic
 /// sweep; pass <= 0 for no cap.
 ///
-/// With `par.threads > 1` the O(n²) pair triangle is swept by a thread
-/// pool: each chunk of outer rows dedups locally, then the chunks merge
-/// in row order against a global seen-set — the output is bit-identical
-/// to the serial sweep (same triples, same first-occurrence order).
+/// With `threads > 1` the O(n²) pair triangle is swept in slices of
+/// outer rows on that many threads (util/parallel.h ForkJoin): each
+/// slice dedups locally, then the slices merge in row order against a
+/// global seen-set — the output is bit-identical to the serial sweep
+/// (same triples, same first-occurrence order).
 std::vector<PairAgreement> CollectAgreements(const EncodedTable& enc,
                                              int max_rows = 0,
-                                             const ParallelOptions& par = {});
+                                             int threads = 1);
 
 /// Keeps only sets that are maximal under inclusion.
 std::vector<AttributeSet> MaximalSets(std::vector<AttributeSet> sets);

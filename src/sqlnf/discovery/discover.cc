@@ -50,8 +50,8 @@ Result<DiscoveryResult> DiscoverConstraints(const Table& table,
     return Status::Invalid("cannot mine constraints from an empty table");
   }
   EncodedTable enc(table);
-  const std::vector<PairAgreement> agreements = CollectAgreements(
-      enc, options.max_rows, ParallelOptions{options.threads});
+  const std::vector<PairAgreement> agreements =
+      CollectAgreements(enc, options.max_rows, options.threads);
   const AttributeSet all = table.schema().all();
 
   DiscoveryResult result;
@@ -133,8 +133,8 @@ Result<std::vector<FunctionalDependency>> DiscoverFds(
     return Status::Invalid("cannot mine constraints from an empty table");
   }
   EncodedTable enc(table);
-  const std::vector<PairAgreement> agreements = CollectAgreements(
-      enc, options.max_rows, ParallelOptions{options.threads});
+  const std::vector<PairAgreement> agreements =
+      CollectAgreements(enc, options.max_rows, options.threads);
   const AttributeSet all = table.schema().all();
   const AttributeSet null_free = enc.NullFreeColumns();
 

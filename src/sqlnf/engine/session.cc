@@ -10,7 +10,6 @@
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/engine/writer_role.h"
 #include "sqlnf/util/json.h"
-#include "sqlnf/util/parallel.h"
 
 namespace sqlnf {
 
@@ -79,7 +78,6 @@ ValidationReport ValidateConstraints(const TableSchema& schema,
   report.columns = schema.num_attributes();
   report.threads = threads;
   report.total = sigma.All().size();
-  const ParallelOptions par{threads};
   auto add = [&](std::string text, const std::optional<Violation>& v) {
     ConstraintCheck check;
     check.text = std::move(text);
@@ -92,10 +90,10 @@ ValidationReport ValidateConstraints(const TableSchema& schema,
     report.checks.push_back(std::move(check));
   };
   for (const auto& fd : sigma.fds()) {
-    add(fd.ToString(schema), FindFdViolationEncoded(enc, fd, par));
+    add(fd.ToString(schema), FindFdViolationEncoded(enc, fd));
   }
   for (const auto& key : sigma.keys()) {
-    add(key.ToString(schema), FindKeyViolationEncoded(enc, key, par));
+    add(key.ToString(schema), FindKeyViolationEncoded(enc, key));
   }
   return report;
 }
@@ -161,14 +159,15 @@ SessionRegistry::ParsedConstraints(const TableSchema& schema,
   // The cache key covers the resolution context (the column names)
   // besides the text: DROP + CREATE can reuse a table name with a
   // different schema, and the same text must then re-parse.
+  const bool cacheable = text.size() <= kMaxCachedTextBytes;
   std::string key;
-  for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
-    key += schema.attribute_name(a);
-    key += ',';
-  }
-  key += '\n';
-  key += text;
-  {
+  if (cacheable) {
+    for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+      key += schema.attribute_name(a);
+      key += ',';
+    }
+    key += '\n';
+    key += text;
     MutexLock lock(cache_mu_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -181,7 +180,10 @@ SessionRegistry::ParsedConstraints(const TableSchema& schema,
   auto shared = std::make_shared<const ConstraintSet>(std::move(sigma));
   MutexLock lock(cache_mu_);
   ++misses_;
-  cache_.emplace(std::move(key), shared);
+  if (cacheable) {
+    if (cache_.size() >= kMaxCachedSets) cache_.clear();
+    cache_.emplace(std::move(key), shared);
+  }
   return shared;
 }
 

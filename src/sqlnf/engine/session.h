@@ -83,7 +83,9 @@ struct ValidationReport {
 
 /// Validates Σ against an encoding that covers every mentioned column
 /// (a fresh per-call encoding or a table snapshot's columns). FDs are
-/// checked in declaration order, then keys, matching the CLI.
+/// checked in declaration order, then keys, matching the CLI, one after
+/// another on the calling thread; `threads` is only recorded in the
+/// report.
 ValidationReport ValidateConstraints(const TableSchema& schema,
                                      const EncodedTable& enc,
                                      const ConstraintSet& sigma,
@@ -113,7 +115,8 @@ struct NormalizationOutcome {
 };
 
 struct SessionOptions {
-  /// Thread count for validation / discovery kernels.
+  /// Threads for the discovery pair sweep; validation runs serially
+  /// and records the count in its report.
   int threads = 1;
   /// Permit a transaction to remain open after Execute() returns.
   /// Safe only for a single-session front end (the CLI shell); servers
@@ -126,6 +129,12 @@ struct SessionOptions {
 /// constraint sets keyed by (schema columns, constraint text).
 class SessionRegistry {
  public:
+  /// The cache stays bounded under any stream of texts: an insert into
+  /// a full cache clears it first, and a text longer than
+  /// kMaxCachedTextBytes is parsed on every request.
+  static constexpr size_t kMaxCachedSets = 1024;
+  static constexpr size_t kMaxCachedTextBytes = 4096;
+
   /// `db` must outlive the registry.
   explicit SessionRegistry(Database* db) : db_(db) {}
 
@@ -135,7 +144,8 @@ class SessionRegistry {
   }
 
   /// Parses `text` against `schema`, serving repeats from the cache.
-  /// The returned set is immutable and shared across sessions.
+  /// The returned set is immutable and shared across sessions. Every
+  /// successful parse counts as a miss.
   Result<std::shared_ptr<const ConstraintSet>> ParsedConstraints(
       const TableSchema& schema, const std::string& text);
 

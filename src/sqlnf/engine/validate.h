@@ -21,7 +21,7 @@
 //
 // Witness rule: a violated constraint reports its lexicographically
 // smallest violating pair (row1 < row2) — the pair
-// constraints/satisfies.h reports — at every thread count.
+// constraints/satisfies.h reports.
 //
 // Cost: code equality is transitive, so a row whose LHS codes (⊥
 // counted as a code) repeat an earlier row of its bucket starts no
@@ -39,10 +39,9 @@
 // Property tests cross-check every validator against the reference and
 // a literal Definition-1/2 oracle (tests/reference_oracle.h).
 //
-// Every entry point takes an optional ParallelOptions:
-// with threads > 1 on a table of at least 2,048 rows, the index builds
-// chunk-parallel and row chunks scan concurrently, folding left to
-// right, so verdict and witness are identical to serial.
+// Every kernel runs serially on the calling thread: threads, inside
+// one kernel or across the constraints of a set, did not beat one
+// thread on the 173k-row contractor table (EXPERIMENTS.md E5).
 
 #ifndef SQLNF_ENGINE_VALIDATE_H_
 #define SQLNF_ENGINE_VALIDATE_H_
@@ -53,43 +52,36 @@
 #include "sqlnf/constraints/satisfies.h"
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
-#include "sqlnf/util/parallel.h"
 
 namespace sqlnf {
 
 /// Fast validation of a whole constraint set (plus the NFS). Encodes
 /// the union of all mentioned columns once and reuses it.
-bool ValidateAll(const Table& table, const ConstraintSet& sigma,
-                 const ParallelOptions& par = {});
+bool ValidateAll(const Table& table, const ConstraintSet& sigma);
 
 /// The smallest violating row pair of one FD, or nullopt when it
 /// holds. Matches constraints/satisfies.h exactly.
 std::optional<Violation> FindFdViolationFast(
-    const Table& table, const FunctionalDependency& fd,
-    const ParallelOptions& par = {});
+    const Table& table, const FunctionalDependency& fd);
 
 /// The smallest violating row pair of one key, or nullopt.
 std::optional<Violation> FindKeyViolationFast(
-    const Table& table, const KeyConstraint& key,
-    const ParallelOptions& par = {});
+    const Table& table, const KeyConstraint& key);
 
 // ---- Columnar kernels ------------------------------------------------
 // `enc` must cover every column the constraint mentions
 // (enc.encoded_columns() ⊇ lhs ∪ rhs / attrs).
 
 std::optional<Violation> FindFdViolationEncoded(
-    const EncodedTable& enc, const FunctionalDependency& fd,
-    const ParallelOptions& par = {});
+    const EncodedTable& enc, const FunctionalDependency& fd);
 
 std::optional<Violation> FindKeyViolationEncoded(
-    const EncodedTable& enc, const KeyConstraint& key,
-    const ParallelOptions& par = {});
+    const EncodedTable& enc, const KeyConstraint& key);
 
 /// Whole-Σ validation on a shared encoding; `nfs` is the schema's NOT
 /// NULL set (the NFS holds iff those columns are null-free here).
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
-                        const ConstraintSet& sigma,
-                        const ParallelOptions& par = {});
+                        const ConstraintSet& sigma);
 
 }  // namespace sqlnf
 

@@ -86,6 +86,13 @@ std::string RenderErrorJson(const ErrorDetail& detail) {
   return std::move(w).Take();
 }
 
+SqlnfService::SqlnfService(SessionRegistry* registry, Options options)
+    : registry_(registry) {
+  // A bound on the threads one request may start, whatever the
+  // command line says.
+  session_options_.threads = std::clamp(options.threads, 1, 16);
+}
+
 HttpResponse SqlnfService::Handle(const HttpRequest& request) {
   if (request.path == "/health") {
     if (request.method != "GET") {
@@ -122,14 +129,6 @@ HttpResponse SqlnfService::Handle(const HttpRequest& request) {
   return Normalize(*body);
 }
 
-Session SqlnfService::MakeSession(const JsonValue& body) {
-  SessionOptions options;
-  const int64_t requested = body.GetInt("threads", options_.threads);
-  options.threads = static_cast<int>(
-      std::clamp<int64_t>(requested, 1, options_.max_threads));
-  return Session(registry_, options);
-}
-
 HttpResponse SqlnfService::Health() {
   JsonWriter w;
   w.BeginObject();
@@ -151,7 +150,7 @@ HttpResponse SqlnfService::Health() {
 HttpResponse SqlnfService::Query(const JsonValue& body) {
   Result<std::string> sql = body.GetString("sql");
   if (!sql.ok()) return StatusError(sql.status());
-  Session session = MakeSession(body);
+  Session session(registry_, session_options_);
   const ResultSet rs = session.Execute(*sql);
   HttpResponse r;
   r.status = rs.ok() ? 200 : HttpStatusFor(rs.status.code());
@@ -164,7 +163,7 @@ HttpResponse SqlnfService::Validate(const JsonValue& body) {
   if (!table.ok()) return StatusError(table.status());
   Result<std::string> constraints = body.GetString("constraints");
   if (!constraints.ok()) return StatusError(constraints.status());
-  Session session = MakeSession(body);
+  Session session(registry_, session_options_);
   Result<ValidationReport> report = session.Validate(*table, *constraints);
   if (!report.ok()) return StatusError(report.status());
   return JsonOk(report->RenderJson());
@@ -173,7 +172,7 @@ HttpResponse SqlnfService::Validate(const JsonValue& body) {
 HttpResponse SqlnfService::Discover(const JsonValue& body) {
   Result<std::string> table = body.GetString("table");
   if (!table.ok()) return StatusError(table.status());
-  Session session = MakeSession(body);
+  Session session(registry_, session_options_);
   const int max_rows = static_cast<int>(body.GetInt("max_rows", 0));
   Result<DiscoveryReport> report = session.Discover(*table, max_rows);
   if (!report.ok()) return StatusError(report.status());
@@ -183,7 +182,7 @@ HttpResponse SqlnfService::Discover(const JsonValue& body) {
 HttpResponse SqlnfService::Normalize(const JsonValue& body) {
   Result<std::string> table = body.GetString("table");
   if (!table.ok()) return StatusError(table.status());
-  Session session = MakeSession(body);
+  Session session(registry_, session_options_);
   Result<NormalizationOutcome> outcome = session.Normalize(*table);
   if (!outcome.ok()) return StatusError(outcome.status());
   return JsonOk(outcome->RenderJson());

@@ -9,12 +9,17 @@
 //     → {"ok":true,"tables":N,"cache_hits":N,"cache_misses":N}
 //   POST /query      {"sql":"SELECT ..."}
 //     → engine/result.h RenderJson: {"ok":..,["error":..,]"statements":[..]}
-//   POST /validate   {"table":"t","constraints":"x ->w y; c<k>"[,"threads":N]}
+//   POST /validate   {"table":"t","constraints":"x ->w y; c<k>"}
 //     → ValidationReport::RenderJson
-//   POST /discover   {"table":"t"[,"max_rows":N][,"threads":N]}
+//   POST /discover   {"table":"t"[,"max_rows":N]}
 //     → DiscoveryReport::RenderJson
-//   POST /normalize  {"table":"t"[,"threads":N]}
+//   POST /normalize  {"table":"t"}
 //     → NormalizationOutcome::RenderJson
+//
+// Discovery's pair sweep (/discover, /normalize) runs on the service's
+// one thread count (`sqlnf serve --threads N`, clamped into [1, 16]),
+// which /validate reports; a body field a handler does not read is
+// ignored.
 //
 // Errors are machine-readable and uniform:
 //   {"ok":false,"error":{"code":"NotFound","message":...,
@@ -44,11 +49,8 @@ int HttpStatusFor(StatusCode code);
 std::string RenderErrorJson(const ErrorDetail& detail);
 
 struct SqlnfServiceOptions {
-  /// Default kernel thread count when a request does not say.
+  /// Threads for the discovery pair sweep; clamped into [1, 16].
   int threads = 1;
-  /// Cap on per-request "threads" (a client must not fork-bomb the
-  /// server).
-  int max_threads = 16;
 };
 
 class SqlnfService {
@@ -56,8 +58,7 @@ class SqlnfService {
   using Options = SqlnfServiceOptions;
 
   /// `registry` must outlive the service.
-  explicit SqlnfService(SessionRegistry* registry, Options options = {})
-      : registry_(registry), options_(options) {}
+  explicit SqlnfService(SessionRegistry* registry, Options options = {});
 
   /// The HttpServer handler: safe to call from many threads at once.
   HttpResponse Handle(const HttpRequest& request);
@@ -69,10 +70,9 @@ class SqlnfService {
   HttpResponse Discover(const JsonValue& body);
   HttpResponse Normalize(const JsonValue& body);
 
-  Session MakeSession(const JsonValue& body);
-
   SessionRegistry* registry_;
-  Options options_;
+  // Every request's session runs with these options.
+  SessionOptions session_options_;
 };
 
 }  // namespace sqlnf

@@ -6,20 +6,21 @@
 //   * the oracle (all-pairs, similarity inlined),
 //   * constraints/satisfies.h (the reference checker),
 //   * the legacy tuple-hashing path (FindFdViolationTuple / ...KeyTuple),
-//   * the columnar kernels on a full EncodedTable at threads
-//     ∈ {1, 2, 3, 8},
+//   * the columnar kernels on a full EncodedTable,
 //   * the Table entry points (Find*Fast),
+//   * ValidateConstraints over a whole Σ,
 //   * the possible-world enumeration for keys on small tables.
 //
 // Verdicts must be identical everywhere. Witnesses are compared pair
-// for pair: the encoded kernels and the Table entry points must return
-// the reference checker's witness, the lexicographically smallest
-// violating pair (engine/validate.h's witness rule), at every thread
-// count. The reference witness and the tuple path's (which follows its
-// hash map's iteration order) are re-checked against the oracle's
-// similarity predicates. The random tables of the first sweeps stay
-// under the validators' 2,048-row threading threshold, so a separate
-// sweep of larger tables reaches the threaded scan.
+// for pair: the encoded kernels, the Table entry points and every
+// ValidateConstraints entry must return the reference checker's
+// witness, the lexicographically smallest violating pair
+// (engine/validate.h's witness rule). The reference witness and the
+// tuple path's (which follows its hash map's iteration order) are
+// re-checked against the oracle's similarity predicates. The random
+// tables of the first sweeps have at most 120 rows; a separate sweep of
+// 2,048–4,000-row tables checks the kernels and ValidateConstraints
+// against the reference checker alone.
 //
 // SQLNF_DIFF_ITERS (integer ≥ 1, default 1) multiplies every sweep —
 // the nightly CI job runs the suite with a larger multiplier.
@@ -42,6 +43,7 @@
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/enforcer.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/session.h"
 #include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/reference/relops.h"
@@ -136,20 +138,13 @@ void ExpectReferenceWitness(const std::optional<Violation>& reference,
       << context << ": witness differs from satisfies.h's";
 }
 
-// The encoded kernels and Find*Fast against the reference witness, at
-// every thread count of the sweep (tables under 2,048 rows run
-// serially whatever the count).
+// The encoded kernel and Find*Fast against the reference witness.
 void CheckFdWitnesses(const Table& table, const EncodedTable& enc,
                       const FunctionalDependency& fd,
                       const std::optional<Violation>& reference,
                       const std::string& what) {
-  for (int threads : {1, 2, 3, 8}) {
-    const ParallelOptions par{threads};
-    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
-                            "]";
-    ExpectReferenceWitness(reference, FindFdViolationEncoded(enc, fd, par),
-                           tag);
-  }
+  ExpectReferenceWitness(reference, FindFdViolationEncoded(enc, fd),
+                         what + " [encoded]");
   ExpectReferenceWitness(reference, FindFdViolationFast(table, fd),
                          what + " [fast]");
 }
@@ -158,13 +153,8 @@ void CheckKeyWitnesses(const Table& table, const EncodedTable& enc,
                        const KeyConstraint& key,
                        const std::optional<Violation>& reference,
                        const std::string& what) {
-  for (int threads : {1, 2, 3, 8}) {
-    const ParallelOptions par{threads};
-    const std::string tag = what + " [encoded t=" + std::to_string(threads) +
-                            "]";
-    ExpectReferenceWitness(reference, FindKeyViolationEncoded(enc, key, par),
-                           tag);
-  }
+  ExpectReferenceWitness(reference, FindKeyViolationEncoded(enc, key),
+                         what + " [encoded]");
   ExpectReferenceWitness(reference, FindKeyViolationFast(table, key),
                          what + " [fast]");
 }
@@ -319,13 +309,9 @@ TEST(DifferentialTest, WholeSigmaValidation) {
 
     EXPECT_EQ(SatisfiesAll(table, sigma), expect) << "iter=" << iter;
     const EncodedTable enc(table);
-    for (int threads : {1, 4}) {
-      const ParallelOptions par{threads};
-      EXPECT_EQ(ValidateAll(table, sigma, par), expect)
-          << "iter=" << iter << " t=" << threads;
-      EXPECT_EQ(ValidateAllEncoded(enc, schema.nfs(), sigma, par), expect)
-          << "iter=" << iter << " t=" << threads;
-    }
+    EXPECT_EQ(ValidateAll(table, sigma), expect) << "iter=" << iter;
+    EXPECT_EQ(ValidateAllEncoded(enc, schema.nfs(), sigma), expect)
+        << "iter=" << iter;
   }
 }
 
@@ -447,14 +433,14 @@ Table MixedDomainInstance(Rng* rng, const TableSchema& schema, int rows,
   return table;
 }
 
-// --- Sweep 5: tables of 2,048–4,000 rows, at or past the validators'
-// threading threshold, so threads > 1 run the chunked scan and its
-// left-to-right fold must still yield the reference witness. Every
-// nullable column holds ⊥, so certain constraints group on part of
-// their LHS and compare the rest weakly. The O(n²) oracle and the tuple
-// path stay with the smaller sweeps; the reference checker stops at its
-// witness, so only satisfied constraints cost it a full pair scan.
-TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
+// --- Sweep 5: tables of 2,048–4,000 rows. Each table's drawn
+// constraints also form one Σ, and every ValidateConstraints report
+// entry, in Σ order, must be the reference witness. Every nullable
+// column holds ⊥, so certain constraints group on part of their LHS and
+// compare the rest weakly. The O(n²) oracle and the tuple path stay
+// with the smaller sweeps; the reference checker stops at its witness,
+// so only satisfied constraints cost it a full pair scan.
+TEST(DifferentialTest, LargeTablesWitnesses) {
   Rng rng(20261017);
   const int tables = ScaledIters(12);
   int satisfied = 0, weak_rest = 0, deep = 0;
@@ -467,6 +453,8 @@ TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
     const EncodedTable enc(table);
     const std::string context =
         "large iter=" + std::to_string(iter) + " rows=" + std::to_string(rows);
+    ConstraintSet sigma;
+    std::vector<std::optional<Violation>> fd_refs, key_refs;
     for (Mode mode : {Mode::kPossible, Mode::kCertain}) {
       FunctionalDependency fd;
       fd.rhs = AttributeSet::Single(static_cast<AttributeId>(rng.Index(cols)));
@@ -487,6 +475,10 @@ TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
       CheckKeyWitnesses(table, enc, key, key_ref,
                         context + " key=" + key.ToString(schema));
 
+      sigma.AddFd(fd);
+      fd_refs.push_back(fd_ref);
+      sigma.AddKey(key);
+      key_refs.push_back(key_ref);
       for (const std::optional<Violation>& ref : {fd_ref, key_ref}) {
         satisfied += !ref.has_value();
         deep += ref.has_value() && ref->row1 >= rows / 8;
@@ -496,9 +488,31 @@ TEST(DifferentialTest, LargeTablesThreadedWitnesses) {
                      !key.attrs.IsSubsetOf(enc.NullFreeColumns());
       }
     }
+
+    // The report lists FDs, then keys, each in draw order.
+    std::vector<std::optional<Violation>> refs = fd_refs;
+    refs.insert(refs.end(), key_refs.begin(), key_refs.end());
+    std::vector<std::string> texts;
+    for (const auto& fd : sigma.fds()) texts.push_back(fd.ToString(schema));
+    for (const auto& key : sigma.keys()) texts.push_back(key.ToString(schema));
+    const ValidationReport report = ValidateConstraints(schema, enc, sigma, 1);
+    const std::string tag = context + " [ValidateConstraints]";
+    ASSERT_EQ(report.checks.size(), refs.size()) << tag;
+    int violated = 0;
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const ConstraintCheck& check = report.checks[i];
+      EXPECT_EQ(check.text, texts[i]) << tag;
+      std::optional<Violation> got;
+      if (check.violated) {
+        got = Violation{check.row1, check.row2, std::nullopt, std::nullopt};
+      }
+      ExpectReferenceWitness(refs[i], got, tag + " " + texts[i]);
+      violated += check.violated;
+    }
+    EXPECT_EQ(report.violated, violated) << tag;
   }
   // The draws must reach satisfied constraints, certain ones with ⊥ in
-  // the LHS, and witnesses past the first chunk of a 2-thread scan.
+  // the LHS, and witnesses past the first eighth of the table.
   EXPECT_GT(satisfied, 0);
   EXPECT_GT(weak_rest, 0);
   EXPECT_GT(deep, 0);

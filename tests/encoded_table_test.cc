@@ -177,7 +177,9 @@ TEST(EncodedTableTest, RandomizedMaintenanceMatchesReEncode) {
         const int r = static_cast<int>(rng.Index(table.num_rows()));
         Table next(schema);
         for (int i = 0; i < table.num_rows(); ++i) {
-          if (i != r) ASSERT_TRUE(next.AddRow(table.row(i)).ok());
+          if (i != r) {
+            ASSERT_TRUE(next.AddRow(table.row(i)).ok());
+          }
         }
         table = std::move(next);
         enc.EraseRows({r});

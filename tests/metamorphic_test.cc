@@ -41,30 +41,26 @@ using testing::RandomSubset;
 struct Verdicts {
   bool reference;
   bool tuple;
-  bool encoded1;
-  bool encoded4;
+  bool encoded;
 };
 
 Verdicts FdVerdicts(const Table& table, const FunctionalDependency& fd) {
   const EncodedTable enc(table);
   return {Satisfies(table, fd), !FindFdViolationTuple(table, fd).has_value(),
-          !FindFdViolationEncoded(enc, fd, ParallelOptions{1}).has_value(),
-          !FindFdViolationEncoded(enc, fd, ParallelOptions{4}).has_value()};
+          !FindFdViolationEncoded(enc, fd).has_value()};
 }
 
 Verdicts KeyVerdicts(const Table& table, const KeyConstraint& key) {
   const EncodedTable enc(table);
   return {Satisfies(table, key),
           !FindKeyViolationTuple(table, key).has_value(),
-          !FindKeyViolationEncoded(enc, key, ParallelOptions{1}).has_value(),
-          !FindKeyViolationEncoded(enc, key, ParallelOptions{4}).has_value()};
+          !FindKeyViolationEncoded(enc, key).has_value()};
 }
 
 void ExpectVerdicts(const Verdicts& v, bool expect, const std::string& what) {
   EXPECT_EQ(v.reference, expect) << what << " [reference]";
   EXPECT_EQ(v.tuple, expect) << what << " [tuple]";
-  EXPECT_EQ(v.encoded1, expect) << what << " [encoded t=1]";
-  EXPECT_EQ(v.encoded4, expect) << what << " [encoded t=4]";
+  EXPECT_EQ(v.encoded, expect) << what << " [encoded]";
 }
 
 Table Permuted(const Table& table, const std::vector<int>& order) {

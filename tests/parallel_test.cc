@@ -1,10 +1,11 @@
-// The parallel-execution utility: every task runs exactly once, and
-// ordered reduction is deterministic for any thread count.
+// The fork-join utility: every task runs exactly once at any thread
+// count, and a single thread runs the tasks on the caller, in order.
 
 #include "sqlnf/util/parallel.h"
 
 #include <atomic>
-#include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,69 +13,41 @@
 namespace sqlnf {
 namespace {
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.num_threads(), std::max(1, threads));
-    std::vector<std::atomic<int>> hits(100);
-    pool.RunTasks(100, [&](int i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ForkJoinTest, RunsEveryTaskExactlyOnce) {
+  for (int threads : {1, 2, 3, 8}) {
+    for (int tasks : {0, 1, 7, 100}) {
+      std::vector<std::atomic<int>> hits(tasks);
+      ForkJoin(threads, tasks, [&](int i) { hits[i].fetch_add(1); });
+      for (int i = 0; i < tasks; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " tasks=" << tasks << " i=" << i;
+      }
+    }
   }
 }
 
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(4);
-  for (int batch = 0; batch < 50; ++batch) {
-    std::atomic<int> sum{0};
-    pool.RunTasks(batch, [&](int i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), batch * (batch - 1) / 2);
+TEST(ForkJoinTest, OneThreadRunsOnTheCallerInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  ForkJoin(1, 7, [&](int i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(ForkJoinTest, RethrowsATaskExceptionAfterTheJoin) {
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ForkJoin(threads, 100,
+                          [&](int i) {
+                            ran.fetch_add(1);
+                            if (i == 3) throw std::runtime_error("task 3");
+                          }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_GE(ran.load(), 4) << "threads=" << threads;
   }
-}
-
-TEST(ThreadPoolTest, ZeroAndOneTasks) {
-  ThreadPool pool(4);
-  int calls = 0;
-  pool.RunTasks(0, [&](int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.RunTasks(1, [&](int) { ++calls; });  // runs inline on the caller
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelReduceTest, OrderedFoldIsDeterministic) {
-  // Concatenation is non-commutative: the fold must visit chunks in
-  // order regardless of which thread finished first.
-  const int64_t n = 5000;
-  std::vector<int> expected(n);
-  std::iota(expected.begin(), expected.end(), 0);
-  for (int threads : {1, 2, 7}) {
-    ThreadPool pool(threads);
-    auto got = ParallelReduce<std::vector<int>>(
-        pool, 0, n, {},
-        [](int64_t b, int64_t e) {
-          std::vector<int> chunk;
-          for (int64_t i = b; i < e; ++i) chunk.push_back(i);
-          return chunk;
-        },
-        [](std::vector<int> acc, std::vector<int> part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        });
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelReduceTest, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const int64_t n = 100000;
-  auto sum = ParallelReduce<int64_t>(
-      pool, 0, n, 0,
-      [](int64_t b, int64_t e) {
-        int64_t s = 0;
-        for (int64_t i = b; i < e; ++i) s += i;
-        return s;
-      },
-      [](int64_t a, int64_t b) { return a + b; });
-  EXPECT_EQ(sum, n * (n - 1) / 2);
 }
 
 }  // namespace

@@ -84,6 +84,39 @@ TEST(ServerTest, EndpointsRoundTrip) {
   EXPECT_EQ(v.Find("tables")->int_value(), 1);
 }
 
+// A service's one thread count is clamped into [1, 16] whatever
+// `sqlnf serve --threads` says, and /validate reports it. A request
+// cannot pick its own: a body's "threads" field is ignored, still with
+// a 200.
+TEST(ServerTest, ValidateReportsTheServiceThreadCountClampedTo16) {
+  Database db;
+  SessionRegistry registry(&db);
+  SqlnfServiceOptions options;
+  options.threads = 64;
+  SqlnfService service(&registry, options);
+  auto post = [&](const std::string& path, const std::string& body) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = path;
+    request.target = path;
+    request.body = body;
+    return service.Handle(request);
+  };
+  ASSERT_EQ(post("/query", R"({"sql":"CREATE TABLE t (a TEXT, b TEXT);)"
+                           R"(INSERT INTO t VALUES ('1', 'x');"})")
+                .status,
+            200);
+  for (const char* body : {R"({"table":"t","constraints":"a ->w b"})",
+                           R"({"table":"t","constraints":"a ->w b",)"
+                           R"("threads":1})"}) {
+    const HttpResponse r = post("/validate", body);
+    ASSERT_EQ(r.status, 200) << body;
+    ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(r.body));
+    EXPECT_EQ(v.Find("threads")->int_value(), 16) << body;
+    EXPECT_EQ(v.Find("violated")->int_value(), 0) << body;
+  }
+}
+
 // GET /health only counts tables. Publishing a snapshot there would
 // make the next write clone every column it touches, since the fresh
 // epoch shares them; the write after /health must land in the same

@@ -193,6 +193,41 @@ TEST(SessionTest, ConstraintCacheServesRepeatsAndKeysOnSchema) {
   (void)third;
 }
 
+// A stream of distinct texts must not grow the cache past its cap: once
+// it is full, older texts parse again.
+TEST(SessionTest, ConstraintCacheStaysBoundedUnderDistinctTexts) {
+  Database db;
+  SessionRegistry registry(&db);
+  const TableSchema schema = Schema("ab");
+  const int texts = static_cast<int>(SessionRegistry::kMaxCachedSets) + 1;
+  // Leading blanks make each text distinct and leave it valid.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < texts; ++i) {
+      ASSERT_OK(registry
+                    .ParsedConstraints(schema,
+                                       std::string(i, ' ') + "a ->w b")
+                    .status());
+    }
+  }
+  EXPECT_EQ(registry.cache_hits() + registry.cache_misses(), 2 * texts);
+  EXPECT_GT(registry.cache_misses(), texts);
+}
+
+TEST(SessionTest, ConstraintCacheSkipsLongTexts) {
+  Database db;
+  SessionRegistry registry(&db);
+  const TableSchema schema = Schema("ab");
+  std::string text = "a ->w b";
+  while (text.size() <= SessionRegistry::kMaxCachedTextBytes) {
+    text += "; a ->w b";
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK(registry.ParsedConstraints(schema, text).status());
+  }
+  EXPECT_EQ(registry.cache_hits(), 0);
+  EXPECT_EQ(registry.cache_misses(), 2);
+}
+
 TEST(SessionTest, ValidateRendersTheHistoricalCliText) {
   Database db;
   SessionRegistry registry(&db);

@@ -16,6 +16,7 @@
 //   sqlnf validate <csv-file> '<constraints>' [--threads N]
 //       Validate a constraint set against the data with the columnar
 //       dictionary-encoded kernels; prints a witness per violation.
+//       The checks run serially; --threads is echoed in the header.
 //   sqlnf query <csv-file> '<sql>'
 //       Load a CSV into a table named after the file stem and run SQL
 //       against it on the columnar executor.
@@ -406,7 +407,7 @@ int CmdServe(const std::vector<std::string>& args) {
 
   SessionRegistry registry(&db);
   SqlnfServiceOptions service_options;
-  service_options.threads = threads < 1 ? 1 : threads;
+  service_options.threads = threads;
   SqlnfService service(&registry, service_options);
 
   // Block the shutdown signals BEFORE spawning server threads (they
