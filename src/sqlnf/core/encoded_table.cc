@@ -3,12 +3,40 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "sqlnf/core/code_hash_index.h"
 #include "sqlnf/util/row_shift.h"
 
 namespace sqlnf {
+
+namespace {
+
+// Blocks of EncodedTable::kZoneRows rows covering `rows` rows.
+size_t ZoneBlocks(size_t rows) {
+  return (rows + EncodedTable::kZoneRows - 1) / EncodedTable::kZoneRows;
+}
+
+// The least and greatest code of block `b` (which must be non-empty).
+// A plain indexed loop, which the compiler vectorizes; minmax_element's
+// pairwise compares do not vectorize and cost about twice as much.
+std::pair<uint32_t, uint32_t> BlockBounds(const std::vector<uint32_t>& codes,
+                                          size_t b) {
+  const size_t begin = b * EncodedTable::kZoneRows;
+  const size_t end =
+      std::min(codes.size(), begin + EncodedTable::kZoneRows);
+  uint32_t lo = codes[begin];
+  uint32_t hi = codes[begin];
+  for (size_t i = begin + 1; i < end; ++i) {
+    lo = std::min(lo, codes[i]);
+    hi = std::max(hi, codes[i]);
+  }
+  return {lo, hi};
+}
+
+}  // namespace
 
 EncodedTable::EncodedTable(const Table& table)
     : EncodedTable(table, AttributeSet::FullSet(table.num_columns())) {}
@@ -26,6 +54,7 @@ EncodedTable::EncodedTable(const Table& table, const AttributeSet& columns)
       c.codes[row] = EncodeUnordered(&c, table.row(row)[col]);
     }
     RebuildOrder(c.dict.get());  // one O(d log d) sort beats d insertions
+    RebuildZones(&c, 0);
   }
 }
 
@@ -56,6 +85,15 @@ EncodedTable::Dictionary& EncodedTable::MutableDictionary(Column* col) {
     col->dict = std::make_shared<Dictionary>(*col->dict);
   }
   return *col->dict;
+}
+
+void EncodedTable::RebuildZones(Column* col, size_t from_block) {
+  const size_t blocks = ZoneBlocks(col->codes.size());
+  col->zones.resize(2 * blocks);
+  for (size_t b = from_block; b < blocks; ++b) {
+    std::tie(col->zones[2 * b], col->zones[2 * b + 1]) =
+        BlockBounds(col->codes, b);
+  }
 }
 
 uint32_t EncodedTable::Encode(Column* col, const Value& value) {
@@ -152,7 +190,17 @@ std::vector<int> EncodedTable::CompactDictionaries() {
     }
     size_t live_count = 0;
     for (char l : live) live_count += static_cast<size_t>(l);
-    if (live_count == d && dict.ordered) continue;  // already canonical
+    if (live_count == d && dict.ordered) {
+      // Already canonical: only zones UpdateCell left loose need work.
+      for (size_t b = 0; b < ZoneBlocks(before.codes.size()); ++b) {
+        if (BlockBounds(before.codes, b) !=
+            std::make_pair(before.zones[2 * b], before.zones[2 * b + 1])) {
+          RebuildZones(&Detach(col), b);
+          break;
+        }
+      }
+      continue;
+    }
     retired[col] = static_cast<int>(d - live_count);
 
     // Canonical target: live values in ascending value order get codes
@@ -184,6 +232,7 @@ std::vector<int> EncodedTable::CompactDictionaries() {
       const uint32_t code = before.codes[row];
       next.codes[row] = code == kNullCode ? kNullCode : remap[code];
     }
+    RebuildZones(&next, 0);
     // Publish the rebuilt column and dictionary as a fresh version;
     // snapshots and gathers sharing the old ones keep their
     // pre-compaction codes bit-stable.
@@ -220,6 +269,26 @@ Status EncodedTable::CheckDictionaryOrder() const {
     }
     if (c.ordered != identity) {
       return Status::Internal("order index: ordered flag stale");
+    }
+  }
+  return Status::OK();
+}
+
+Status EncodedTable::CheckZones() const {
+  for (AttributeId col : encoded_) {
+    const Column& c = *columns_[col];
+    const size_t blocks = ZoneBlocks(c.codes.size());
+    if (c.zones.size() != 2 * blocks) {
+      return Status::Internal("column " + std::to_string(col) +
+                              " zone count != block count");
+    }
+    for (size_t b = 0; b < blocks; ++b) {
+      const auto [lo, hi] = BlockBounds(c.codes, b);
+      if (lo < c.zones[2 * b] || hi > c.zones[2 * b + 1]) {
+        return Status::Internal("column " + std::to_string(col) +
+                                " stores a code outside the zone of block " +
+                                std::to_string(b));
+      }
     }
   }
   return Status::OK();
@@ -267,7 +336,15 @@ void EncodedTable::AppendRow(const Tuple& row) {
   assert(row.size() == num_columns());
   for (AttributeId col : encoded_) {
     Column& c = Detach(col);
-    c.codes.push_back(Encode(&c, row[col]));
+    const uint32_t code = Encode(&c, row[col]);
+    if (c.codes.size() % kZoneRows == 0) {
+      c.zones.insert(c.zones.end(), {code, code});  // opens a block
+    } else {
+      uint32_t* zone = &c.zones[c.zones.size() - 2];
+      zone[0] = std::min(zone[0], code);
+      zone[1] = std::max(zone[1], code);
+    }
+    c.codes.push_back(code);
   }
   ++num_rows_;
 }
@@ -275,8 +352,14 @@ void EncodedTable::AppendRow(const Tuple& row) {
 void EncodedTable::UpdateCell(int row, AttributeId col, const Value& value) {
   Column& c = Detach(col);
   if (c.codes[row] == kNullCode) --c.null_count;
-  c.codes[row] = Encode(&c, value);
+  const uint32_t code = Encode(&c, value);
+  c.codes[row] = code;
   // Encode counted a fresh ⊥; a non-null value leaves the count alone.
+  // Widening keeps the zone valid; it goes loose if the old code was
+  // the block's only one at a bound.
+  uint32_t* zone = &c.zones[2 * static_cast<size_t>(row / kZoneRows)];
+  zone[0] = std::min(zone[0], code);
+  zone[1] = std::max(zone[1], code);
 }
 
 void EncodedTable::EraseRows(const std::vector<int>& rows) {
@@ -285,6 +368,7 @@ void EncodedTable::EraseRows(const std::vector<int>& rows) {
     Column& c = Detach(col);
     for (int row : rows) c.null_count -= c.codes[row] == kNullCode;
     EraseRowsAt(&c.codes, rows);
+    RebuildZones(&c, static_cast<size_t>(rows.front() / kZoneRows));
   }
   num_rows_ -= static_cast<int>(rows.size());
 }
@@ -299,6 +383,7 @@ void EncodedTable::UneraseRows(const std::vector<int>& rows,
     for (size_t k = 0; k < rows.size(); ++k) {
       c.codes[rows[k]] = Encode(&c, tuples[k][col]);
     }
+    RebuildZones(&c, static_cast<size_t>(rows.front() / kZoneRows));
   }
   num_rows_ += static_cast<int>(rows.size());
 }
@@ -334,6 +419,7 @@ EncodedTable EncodedTable::GatherRows(const std::vector<int>& rows) const {
       if (code == kNullCode) ++dst->null_count;
       dst->codes[i] = code;
     }
+    RebuildZones(dst.get(), 0);
     out.columns_[col] = std::move(dst);
   }
   return out;
@@ -376,6 +462,7 @@ void EncodedTable::RecountNulls() {
       if (code == kNullCode) ++nulls;
     }
     c.null_count = nulls;
+    RebuildZones(&c, 0);
   }
 }
 

@@ -69,6 +69,22 @@
 // references it (or through a gather or join of one, which references
 // it too), so the writer never reads a stale use count of 1 for a
 // dictionary a reader can still see.
+//
+// ZONE MAPS. Every encoded column also keeps, per block of kZoneRows
+// rows, the least and greatest code stored in that block (⊥'s
+// kNullCode counts as a code). A scan tests the codes an atom can
+// match against these bounds and skips every block none of them can
+// fall in (engine/predicate.h BlockMayMatch). The invariant is LOOSE
+// BUT NEVER VIOLATED: every stored code lies inside its block's zone,
+// but a zone may be wider than its codes. The passes that already
+// write codes keep it: the constructors, GatherRows, CompactDictionaries
+// and RecountNulls build zones; AppendRow opens or widens the tail
+// zone; UpdateCell widens its block's zone (the old code may have been
+// the only one at a bound, so the zone goes loose); EraseRows and
+// UneraseRows recompute from the block of their first row on, the
+// blocks whose codes they shift; and CompactDictionaries tightens every
+// loose zone again. Zones live in the column, so a detach clones them
+// with the codes and a snapshot's bounds stay stable with its codes.
 
 #ifndef SQLNF_CORE_ENCODED_TABLE_H_
 #define SQLNF_CORE_ENCODED_TABLE_H_
@@ -100,6 +116,9 @@ class EncodedTable {
   /// min(code, dictionary_size) maps kNullCode onto a rank outside
   /// every interval — ⊥ drops out of ordered comparisons branch-free.
   static constexpr uint32_t kNoRank = 0xFFFFFFFFu;
+  /// Rows per zone block; the compiled scan evaluates blocks of the
+  /// same size (CompiledPredicate::kBlock is defined as this).
+  static constexpr int kZoneRows = 2048;
 
   /// Encodes every column of `table`.
   explicit EncodedTable(const Table& table);
@@ -133,6 +152,12 @@ class EncodedTable {
   /// The whole code vector of one encoded column.
   const std::vector<uint32_t>& column(AttributeId col) const {
     return columns_[col]->codes;
+  }
+  /// The zone map of one encoded column (see the header comment): for
+  /// block b, zones[2b] <= every code of rows [kZoneRows·b,
+  /// kZoneRows·(b+1)) <= zones[2b+1].
+  const std::vector<uint32_t>& zones(AttributeId col) const {
+    return columns_[col]->zones;
   }
 
   /// Distinct non-null values ever encoded in `col` (codes are
@@ -205,6 +230,11 @@ class EncodedTable {
   /// equals rank identity) and returns Internal on the first breach.
   Status CheckDictionaryOrder() const;
 
+  /// Debug hook: every encoded column holds one zone per kZoneRows
+  /// block and every stored code lies inside its block's zone; returns
+  /// Internal on the first breach.
+  Status CheckZones() const;
+
   /// The value behind a code (⊥ for kNullCode). Requires a code
   /// previously assigned in `col`.
   const Value& DecodeCode(AttributeId col, uint32_t code) const;
@@ -264,8 +294,8 @@ class EncodedTable {
   /// *sources[j].first (copy-on-write) and gets a code vector sized to
   /// `num_rows` with unspecified contents. The writer must store a code
   /// into every slot through mutable_codes() and then call
-  /// RecountNulls() — until then row queries and null counts are
-  /// meaningless.
+  /// RecountNulls() — until then row queries, null counts and zones
+  /// are meaningless.
   static EncodedTable AllocateTarget(
       const std::vector<std::pair<const EncodedTable*, AttributeId>>&
           sources,
@@ -277,8 +307,8 @@ class EncodedTable {
     return Detach(col).codes.data();
   }
 
-  /// Recomputes every column's ⊥ count from its codes — the seal step
-  /// after direct mutable_codes() writes.
+  /// Recomputes every column's ⊥ count and zones from its codes — the
+  /// seal step after direct mutable_codes() writes.
   void RecountNulls();
 
   /// Ascending row ids of the first occurrence of each distinct row
@@ -309,7 +339,9 @@ class EncodedTable {
   /// in every cell, and per column the same dictionary (same values in
   /// the same code order). The abort-protocol tests use this — an
   /// aborted transaction must restore not just the logical contents but
-  /// the exact codes and dictionary high-water marks.
+  /// the exact codes and dictionary high-water marks. Zones are bounds,
+  /// not contents, and are not compared: a rolled-back UPDATE may leave
+  /// its block's zone loose.
   bool BitIdentical(const EncodedTable& other) const;
 
  private:
@@ -333,9 +365,14 @@ class EncodedTable {
     Column() = default;
     explicit Column(std::shared_ptr<Dictionary> d) : dict(std::move(d)) {}
     std::vector<uint32_t> codes;  // one per row; kNullCode for ⊥
+    std::vector<uint32_t> zones;  // [least, greatest] code per block
     int null_count = 0;
     std::shared_ptr<Dictionary> dict = std::make_shared<Dictionary>();
   };
+
+  /// Recomputes the zones of every block from `from_block` on and sizes
+  /// the zone vector to the column's block count.
+  static void RebuildZones(Column* col, size_t from_block);
 
   /// The mutable column, cloned first if a snapshot still shares it
   /// (copy-on-write). Every mutating entry point goes through here; the

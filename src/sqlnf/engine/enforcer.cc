@@ -422,6 +422,8 @@ Status IncrementalEnforcer::CheckInvariants() const {
   // Order index first: sorted/rank/ordered must stay consistent with
   // the dictionaries across every write and compaction.
   SQLNF_RETURN_NOT_OK(encoded_.CheckDictionaryOrder());
+  // Zones: one per block, every stored code inside its block's zone.
+  SQLNF_RETURN_NOT_OK(encoded_.CheckZones());
   // Encoding: code ranges, ⊥ counts, dictionary bijectivity.
   for (AttributeId col : encoded_.encoded_columns()) {
     const std::vector<uint32_t>& codes = encoded_.column(col);

@@ -195,10 +195,10 @@ class IncrementalEnforcer {
 
   /// Re-derives every invariant the incremental maintenance relies on
   /// and returns Internal with a description on the first breach:
-  /// dictionary bijectivity, code ranges and ⊥ counts of the encoding,
-  /// and chains ↔ encoding consistency per constraint index (each row
-  /// indexed exactly when it must be, under the hash of its CURRENT
-  /// codes). Chain integrity too: no cycle and no out-of-range link,
+  /// dictionary bijectivity, code ranges, ⊥ counts and zones of the
+  /// encoding, and chains ↔ encoding consistency per constraint index
+  /// (each row indexed exactly when it must be, under the hash of its
+  /// CURRENT codes). Chain integrity too: no cycle and no out-of-range link,
   /// each tail the last link of its chain, kSkip exactly on the rows
   /// no chain holds, and each occupied slot reachable along its hash's
   /// probe sequence. O(head tables + rows · |Σ| + dictionary sizes) —

@@ -144,6 +144,7 @@ CompiledPredicate::CompiledPredicate(const EncodedTable& enc,
           static_cast<uint32_t>(enc.dictionary_size(atom.column));
       Atom out;
       out.codes = enc.column(atom.column).data();
+      out.zones = enc.zones(atom.column).data();
       out.d = d;
       auto rank_interval = [&](uint32_t lo, uint32_t hi) {
         // Half-open [lo, hi) over ranks; empty interval kills the
@@ -165,10 +166,10 @@ CompiledPredicate::CompiledPredicate(const EncodedTable& enc,
       };
       switch (atom.op) {
         case CompareOp::kEq:
-          // A kMissingCode want matches no cell — no special case
-          // needed, no stored code ever equals it.
+          // A value absent from the dictionary matches no cell.
           out.kind = Atom::Kind::kEqCode;
           out.want = enc.LookupCode(atom.column, atom.value);
+          if (out.want == EncodedTable::kMissingCode) feasible = false;
           break;
         case CompareOp::kNe:
           // want == kMissingCode correctly matches every row.
@@ -223,9 +224,11 @@ CompiledPredicate::CompiledPredicate(const EncodedTable& enc,
             const uint32_t code = enc.LookupCode(atom.column, member);
             if (code == EncodedTable::kMissingCode) continue;
             out.table[std::min(code, d)] = 1;
+            out.members.push_back(code);
             any = true;
           }
           if (!any) feasible = false;
+          std::sort(out.members.begin(), out.members.end());
           break;
         }
       }
@@ -263,6 +266,40 @@ void CompiledPredicate::ApplyAtom(const Atom& atom, simd::Level level,
                       out);
       break;
   }
+}
+
+bool CompiledPredicate::AtomMayMatch(const Atom& atom, int64_t block) {
+  const uint32_t lo = atom.zones[2 * block];
+  const uint32_t hi = atom.zones[2 * block + 1];
+  switch (atom.kind) {
+    case Atom::Kind::kEqCode:
+      return lo <= atom.want && atom.want <= hi;
+    case Atom::Kind::kNeCode:
+      return lo != atom.want || hi != atom.want;
+    case Atom::Kind::kCodeInterval:
+      // [atom.lo, atom.lo + span - 1] meets [lo, hi]; the sum stays
+      // below the dictionary size, so it cannot wrap.
+      return lo < atom.lo + atom.span && atom.lo <= hi;
+    case Atom::Kind::kRankInterval:
+      return true;
+    case Atom::Kind::kTable: {
+      const auto it =
+          std::lower_bound(atom.members.begin(), atom.members.end(), lo);
+      return it != atom.members.end() && *it <= hi;
+    }
+  }
+  return true;
+}
+
+bool CompiledPredicate::BlockMayMatch(int64_t block) const {
+  for (const std::vector<Atom>& atoms : disjuncts_) {
+    if (std::all_of(atoms.begin(), atoms.end(), [block](const Atom& atom) {
+          return AtomMayMatch(atom, block);
+        })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void CompiledPredicate::EvalBlock(int64_t begin, int64_t n,

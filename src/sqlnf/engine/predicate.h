@@ -43,6 +43,16 @@
 // at slot d makes ⊥ fall outside every interval without a branch. On a
 // compacted (DictionaryOrdered) column the gather disappears and the
 // interval tests raw codes directly.
+//
+// BLOCK SKIPPING. Each compiled atom also records the codes it can
+// match, to test against a block's zone (core/encoded_table.h, the
+// least and greatest code per kBlock rows): `=` matches [want, want],
+// an interval on an ordered dictionary [lo, lo+span-1], IN its sorted
+// member codes (⊥ as kNullCode), and `<>` everything but a block whose
+// zone is exactly [want, want]. A rank interval (unordered dictionary)
+// never rejects a block: its ranks are not monotone in codes. A block
+// no disjunct can match would evaluate to all zeros, so the scan skips
+// it (BlockMayMatch) without changing its result.
 
 #ifndef SQLNF_ENGINE_PREDICATE_H_
 #define SQLNF_ENGINE_PREDICATE_H_
@@ -144,8 +154,9 @@ bool MatchesPredicate(const Tuple& t, const Predicate& pred);
 class CompiledPredicate {
  public:
   /// Rows evaluated per EvalBlock call; scratch buffers of this many
-  /// bytes fit on the stack of each scan thread.
-  static constexpr int kBlock = 2048;
+  /// bytes fit on the stack of each scan thread. One block is one
+  /// zone of the encoding, so BlockMayMatch tests block b's zones.
+  static constexpr int kBlock = EncodedTable::kZoneRows;
 
   CompiledPredicate(const EncodedTable& enc, const Predicate& pred);
 
@@ -153,6 +164,12 @@ class CompiledPredicate {
   /// for j in [0, n). Requires n <= kBlock and match sized n.
   /// Branch-free over the block; const and thread-safe.
   void EvalBlock(int64_t begin, int64_t n, uint8_t* match) const;
+
+  /// False when no row of block `block` (rows [kBlock·block,
+  /// kBlock·(block+1))) can match, read off the columns' zones: no
+  /// disjunct has every atom's matchable codes meet its column's zone.
+  /// EvalBlock would then write all zeros. True may still match none.
+  bool BlockMayMatch(int64_t block) const;
 
   /// True when no row can ever match (e.g. zero disjuncts, or every
   /// disjunct contains an unsatisfiable atom).
@@ -176,13 +193,19 @@ class CompiledPredicate {
     };
     Kind kind = Kind::kEqCode;
     const uint32_t* codes = nullptr;
+    const uint32_t* zones = nullptr;  // the column's [lo, hi] per block
     const uint32_t* rank = nullptr;  // kRankInterval
     uint32_t d = 0;                  // gather clamp: min(code, d)
     uint32_t want = 0;               // kEqCode / kNeCode
     uint32_t lo = 0;                 // intervals
     uint32_t span = 0;
     std::vector<uint8_t> table;      // kTable
+    std::vector<uint32_t> members;   // kTable: sorted, ⊥ as kNullCode
   };
+
+  // Whether some code `atom` can match lies in its column's zone of
+  // block `block` (see BLOCK SKIPPING in the header comment).
+  static bool AtomMayMatch(const Atom& atom, int64_t block);
 
   // One atom's test over a block, routed to the simd kernel matching
   // its kind at dispatch level `level`: the first atom of a

@@ -21,12 +21,15 @@ std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
   }
 
   // One pass: each block is evaluated once, and its matching ids are
-  // compress-stored into a block-sized buffer and appended.
+  // compress-stored into a block-sized buffer and appended. A block
+  // whose zones no disjunct can match would evaluate to all zeros, so
+  // skipping it leaves the ids and their order unchanged.
   constexpr int kBlock = CompiledPredicate::kBlock;
   const simd::Level level = simd::ActiveLevel();
   uint8_t match[kBlock];
   int ids[kBlock];
   for (int at = 0; at < rows; at += kBlock) {
+    if (!compiled.BlockMayMatch(at / kBlock)) continue;
     const int len = std::min(kBlock, rows - at);
     compiled.EvalBlock(at, len, match);
     const int n = simd::CompressStore(level, match, len, at, ids);

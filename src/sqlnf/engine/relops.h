@@ -29,7 +29,9 @@ namespace sqlnf {
 /// a dictionary matches no row (kEq/kIn) or every row (kNe);
 /// Predicate::True() selects every row. One pass on the calling
 /// thread: each row block is evaluated once and its matching ids are
-/// compress-stored and appended to the result.
+/// compress-stored and appended to the result; a block whose zones
+/// rule out every disjunct (CompiledPredicate::BlockMayMatch) is
+/// skipped unevaluated.
 std::vector<int> SelectRowsEncoded(const EncodedTable& enc,
                                    const Predicate& pred);
 

@@ -109,22 +109,29 @@ HttpRequestReader::State HttpRequestReader::ConsumeRequest() {
 
 HttpRequestReader::State HttpRequestReader::TryParse() {
   // Head = everything through the blank line. Tolerate LF-only framing
-  // (telnet-style hand testing) alongside the canonical CRLF CRLF.
+  // (telnet-style hand testing) alongside the canonical CRLF CRLF. The
+  // head ends at whichever terminator is complete first, so where it
+  // ends does not depend on how the bytes were split across feeds.
+  // The LF LF search stops where the CRLF CRLF ends, so a large body
+  // arriving in many feeds is not rescanned on each.
   size_t head_end = buffer_.find("\r\n\r\n");
-  size_t body_start;
-  if (head_end != std::string::npos) {
-    body_start = head_end + 4;
-  } else {
-    head_end = buffer_.find("\n\n");
-    if (head_end == std::string::npos) {
-      if (buffer_.size() > limits_.max_head_bytes) {
-        return FailWith(431, "request head exceeds " +
-                                 std::to_string(limits_.max_head_bytes) +
-                                 " bytes");
-      }
-      return state_;  // kNeedMore
+  size_t body_start =
+      head_end == std::string::npos ? std::string::npos : head_end + 4;
+  const size_t lf_end =
+      std::string_view(buffer_).substr(0, body_start).find("\n\n");
+  if (lf_end != std::string_view::npos) {
+    head_end = lf_end;
+    body_start = lf_end + 2;
+  }
+  if (head_end == std::string::npos) {
+    // A terminator still to come may start in the last 3 bytes, so only
+    // a buffer longer than the limit plus 3 is known to be oversized.
+    if (buffer_.size() > limits_.max_head_bytes + 3) {
+      return FailWith(431, "request head exceeds " +
+                               std::to_string(limits_.max_head_bytes) +
+                               " bytes");
     }
-    body_start = head_end + 2;
+    return state_;  // kNeedMore
   }
   if (head_end > limits_.max_head_bytes) {
     return FailWith(431, "request head exceeds " +

@@ -1,6 +1,8 @@
 #include "sqlnf/net/service.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace sqlnf {
@@ -172,8 +174,17 @@ HttpResponse SqlnfService::Validate(const JsonValue& body) {
 HttpResponse SqlnfService::Discover(const JsonValue& body) {
   Result<std::string> table = body.GetString("table");
   if (!table.ok()) return StatusError(table.status());
+  // An absent or non-positive max_rows keeps the default cap; any other
+  // value must fit the int the sweep takes, never be narrowed into it.
+  int max_rows = 0;
+  if (const JsonValue* v = body.Find("max_rows"); v != nullptr) {
+    if (!v->is_int() || v->int_value() > std::numeric_limits<int>::max()) {
+      return StatusError(Status::Invalid(
+          "field 'max_rows' must be an integer no larger than 2147483647"));
+    }
+    max_rows = static_cast<int>(std::max<int64_t>(v->int_value(), 0));
+  }
   Session session(registry_, session_options_);
-  const int max_rows = static_cast<int>(body.GetInt("max_rows", 0));
   Result<DiscoveryReport> report = session.Discover(*table, max_rows);
   if (!report.ok()) return StatusError(report.status());
   return JsonOk(report->RenderJson());

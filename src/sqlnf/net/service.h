@@ -12,7 +12,8 @@
 //   POST /validate   {"table":"t","constraints":"x ->w y; c<k>"}
 //     → ValidationReport::RenderJson
 //   POST /discover   {"table":"t"[,"max_rows":N]}
-//     → DiscoveryReport::RenderJson
+//     → DiscoveryReport::RenderJson. N must be an integer literal no
+//     larger than 2^31-1 (else 400); N <= 0 keeps the default cap.
 //   POST /normalize  {"table":"t"}
 //     → NormalizationOutcome::RenderJson
 //

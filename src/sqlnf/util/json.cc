@@ -1,8 +1,11 @@
 #include "sqlnf/util/json.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace sqlnf {
 
@@ -49,8 +52,14 @@ JsonValue JsonValue::Object(std::map<std::string, JsonValue> members) {
 }
 
 int64_t JsonValue::int_value() const {
-  if (kind_ == Kind::kDouble) return static_cast<int64_t>(double_);
-  return int_;
+  if (kind_ != Kind::kDouble) return int_;
+  // Converting a double outside int64's range is undefined behaviour,
+  // so out-of-range values saturate (and NaN reads as 0).
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(double_)) return 0;
+  if (double_ >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (double_ < -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(double_);
 }
 
 double JsonValue::double_value() const {

@@ -57,7 +57,8 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool bool_value() const { return bool_; }
-  int64_t int_value() const;     // kInt, or kDouble truncated
+  int64_t int_value() const;     // kInt, or kDouble truncated and
+                                 // saturated into int64's range
   double double_value() const;   // any numeric kind
   const std::string& str_value() const { return str_; }
   const std::vector<JsonValue>& items() const { return items_; }

@@ -1114,6 +1114,149 @@ TEST(DifferentialTest, DatabaseColumnarDmlMatchesShadowTable) {
   }
 }
 
+// --- Executor sweep 3b: scans that skip blocks. The tables above are
+// small and unclustered, so their zones rarely rule a block out. Here
+// column k is clustered (ascending in runs of 100 rows, with ⊥ runs
+// inside zoned blocks), so selective atoms on k skip most blocks
+// (CompiledPredicate::BlockMayMatch), and the row counts straddle the
+// 2,048-row block seams. Every scan must return the oracle's row ids,
+// in order, at every dispatch level. It must keep doing so after an
+// UPDATE loosens a zone, a DELETE shifts rows across blocks, a
+// transaction of INSERT/UPDATE/DELETE rolls back, an out-of-order
+// INSERT leaves k's dictionary unordered (ranges then compile to rank
+// intervals), and VACUUM re-encodes the table.
+TEST(DifferentialTest, ExecutorZoneSkipsOnClusteredTables) {
+  WriterScope writer;
+  constexpr int kRun = 100;
+  constexpr AttributeId k = 0;
+  constexpr AttributeId v = 1;
+  const Value absent = Value::Int(1000000);
+  for (const int rows : {2047, 2048, 2049, 4097, 6200}) {
+    const std::string what = "rows=" + std::to_string(rows);
+    const TableSchema schema = testing::Schema("kv");
+    Table shadow(schema);
+    for (int r = 0; r < rows; ++r) {
+      const bool null_k = (r >= 700 && r < 710) || (r >= 3000 && r < 3005);
+      ASSERT_OK(shadow.AddRow(Tuple(
+          {null_k ? Value::Null() : Value::Int(r / kRun), Value::Int(r % 7)})));
+    }
+    Database db;
+    ASSERT_OK(db.IngestTable(shadow, ConstraintSet{})) << what;
+    ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find(schema.name()));
+
+    const int last = (rows - 1) / kRun;
+    Predicate two_ranges;
+    two_ranges.disjuncts.push_back({Cmp(k, CompareOp::kEq, Value::Int(2))});
+    two_ranges.disjuncts.push_back(
+        {Between(k, Value::Int(30), Value::Int(31)),
+         Cmp(v, CompareOp::kNe, Value::Int(1))});
+    const std::vector<Predicate> preds = {
+        testing::WhereEq(k, Value::Int(5)),
+        testing::WhereEq(k, Value::Int(20)),  // straddles the first seam
+        testing::WhereEq(k, Value::Int(last)),
+        testing::WhereEq(k, Value::Null()),
+        testing::WhereEq(k, absent),
+        Predicate::And({Cmp(k, CompareOp::kNe, Value::Int(3))}),
+        Predicate::And({Between(k, Value::Int(19), Value::Int(21))}),
+        Predicate::And({Cmp(k, CompareOp::kLt, Value::Int(3))}),
+        Predicate::And({Cmp(k, CompareOp::kGe, Value::Int(last))}),
+        Predicate::And({In(k, {Value::Int(1), Value::Null(), absent})}),
+        Predicate::And({In(k, {absent})}),
+        Predicate::And({Cmp(k, CompareOp::kGt, Value::Int(10)),
+                        Cmp(v, CompareOp::kEq, Value::Int(3))}),
+        two_ranges,
+        Predicate::True(),
+    };
+    auto check = [&](const std::string& stage) {
+      ASSERT_OK(stored->enforcer().CheckInvariants()) << what << stage;
+      const EncodedTable& columns = stored->columns();
+      for (size_t p = 0; p < preds.size(); ++p) {
+        std::vector<int> want;
+        for (int r = 0; r < shadow.num_rows(); ++r) {
+          if (MatchesPredicate(shadow.row(r), preds[p])) want.push_back(r);
+        }
+        LevelSweepGuard guard;
+        for (const simd::Level level : SweepLevels()) {
+          simd::SetLevelForTesting(level);
+          EXPECT_EQ(SelectRowsEncoded(columns, preds[p]), want)
+              << what << stage << " pred " << p << " level "
+              << simd::LevelName(level);
+        }
+      }
+    };
+    auto admitted = [&](const Predicate& pred) {
+      const CompiledPredicate compiled(stored->columns(), pred);
+      int n = 0;
+      for (int at = 0; at < stored->num_rows();
+           at += CompiledPredicate::kBlock) {
+        n += compiled.BlockMayMatch(at / CompiledPredicate::kBlock);
+      }
+      return n;
+    };
+
+    check(" initial");
+    // The skip fires: one run of k lies in one block.
+    EXPECT_EQ(admitted(preds[0]), 1) << what;
+    EXPECT_EQ(admitted(preds[4]), 0) << what;
+
+    // UPDATE moves a run of block 0 to the last key: block 0's zone
+    // widens to it and stays loose.
+    const Predicate run12 = testing::WhereEq(k, Value::Int(12));
+    ASSERT_OK_AND_ASSIGN(const int updated,
+                         db.Update(schema.name(), run12, k, Value::Int(last)));
+    ASSERT_OK_AND_ASSIGN(const int updated_ref,
+                         UpdateWhere(&shadow,
+                                     [&](const Tuple& t) {
+                                       return MatchesPredicate(t, run12);
+                                     },
+                                     k, Value::Int(last)));
+    EXPECT_EQ(updated, updated_ref) << what;
+    check(" after update");
+
+    // DELETE a run of block 0: every later row shifts down 90 slots,
+    // across the block seams.
+    const Predicate run7 = testing::WhereEq(k, Value::Int(7));
+    ASSERT_OK_AND_ASSIGN(const int deleted, db.Delete(schema.name(), run7));
+    EXPECT_EQ(deleted, DeleteWhere(&shadow, [&](const Tuple& t) {
+                return MatchesPredicate(t, run7);
+              }))
+        << what;
+    check(" after delete");
+
+    // A transaction's INSERT, UPDATE and DELETE roll back.
+    ASSERT_OK(db.Begin());
+    ASSERT_OK(db.Insert(schema.name(), Tuple({Value::Int(-5), Value::Int(0)})));
+    ASSERT_OK(db.Update(schema.name(), testing::WhereEq(k, Value::Int(15)), k,
+                        Value::Int(-5))
+                  .status());
+    ASSERT_OK(db.Delete(schema.name(), testing::WhereEq(k, Value::Int(3)))
+                  .status());
+    ASSERT_OK(db.Rollback());
+    check(" after rollback");
+
+    // An out-of-order INSERT: k's dictionary is no longer ordered, so
+    // the range atoms compile to rank intervals, which skip nothing.
+    const Tuple low({Value::Int(-5), Value::Int(0)});
+    ASSERT_OK(db.Insert(schema.name(), low));
+    ASSERT_OK(shadow.AddRow(low));
+    EXPECT_FALSE(stored->columns().DictionaryOrdered(k)) << what;
+    check(" after out-of-order insert");
+
+    // Deleting the low row recomputes the tail zone; VACUUM then
+    // re-encodes k in value order and rebuilds its zones, so `k = 5`
+    // is back to its one block.
+    const Predicate low_key = testing::WhereEq(k, Value::Int(-5));
+    ASSERT_OK(db.Delete(schema.name(), low_key).status());
+    DeleteWhere(&shadow,
+                [&](const Tuple& t) { return MatchesPredicate(t, low_key); });
+    check(" after deleting the low row");
+    ASSERT_OK(db.CompactTable(schema.name()).status());
+    EXPECT_TRUE(stored->columns().DictionaryOrdered(k)) << what;
+    check(" after vacuum");
+    EXPECT_EQ(admitted(preds[0]), 1) << what;
+  }
+}
+
 // --- Executor sweep 4: SELECT over NATURAL JOINs. The executor filters
 // each join input by what the WHERE implies for it (JoinInputFilters),
 // joins the filtered inputs and applies the whole WHERE to the join's

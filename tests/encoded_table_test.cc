@@ -3,6 +3,9 @@
 // (AppendRow / UpdateCell / EraseRows), dictionary probing, and the
 // code-bijection equivalence used by the enforcer consistency tests.
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -222,6 +225,120 @@ TEST(EncodedTableTest, DistinctRowsFirstOccurrence) {
 
     EXPECT_EQ(enc.DistinctRows(), expected) << "iter=" << iter;
   }
+}
+
+// The tight zone map of one column, recomputed from its codes.
+std::vector<uint32_t> TightZones(const EncodedTable& enc, AttributeId col) {
+  const std::vector<uint32_t>& codes = enc.column(col);
+  std::vector<uint32_t> zones;
+  for (size_t at = 0; at < codes.size(); at += EncodedTable::kZoneRows) {
+    const auto first = codes.begin() + static_cast<std::ptrdiff_t>(at);
+    const auto last = codes.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          codes.size(),
+                                          at + EncodedTable::kZoneRows));
+    zones.push_back(*std::min_element(first, last));
+    zones.push_back(*std::max_element(first, last));
+  }
+  return zones;
+}
+
+bool ZonesTight(const EncodedTable& enc) {
+  for (AttributeId col = 0; col < enc.num_columns(); ++col) {
+    if (enc.zones(col) != TightZones(enc, col)) return false;
+  }
+  return true;
+}
+
+// Zones across every write path. The constructor, GatherRows,
+// RecountNulls and CompactDictionaries build them tight; AppendRow
+// widens the tail zone and opens one at each seam; UpdateCell widens
+// and may leave a zone loose; EraseRows and UneraseRows recompute from
+// their first row's block, which tightens it again; and a snapshot
+// keeps its zones while its source moves on. CheckZones holds after
+// every step.
+TEST(EncodedTableTest, ZonesBoundEveryBlockAcrossWrites) {
+  constexpr int kZ = EncodedTable::kZoneRows;
+  constexpr uint32_t kNull = EncodedTable::kNullCode;
+  const TableSchema schema = Schema("ab");
+  Table table(schema);
+  for (int r = 0; r < 2 * kZ + 5; ++r) {
+    ASSERT_OK(table.AddRow(
+        Tuple({r == kZ + 3 ? Value::Null() : Value::Int(r / 100),
+               Value::Int(r % 3)})));
+  }
+  EncodedTable enc(table);
+  ASSERT_OK(enc.CheckZones());
+  EXPECT_TRUE(ZonesTight(enc));
+  // Values first occur in ascending order, so codes equal values.
+  EXPECT_EQ(enc.zones(0), (std::vector<uint32_t>{0, 20, 20, kNull, 40, 41}));
+  const EncodedTable snapshot = enc;
+  const std::vector<uint32_t> snapshot_zones = snapshot.zones(0);
+
+  enc.AppendRow(Tuple({Value::Int(3), Value::Int(0)}));
+  EXPECT_EQ(enc.zones(0)[4], 3u);
+  EXPECT_TRUE(ZonesTight(enc));
+  EncodedTable grown(2);
+  for (int r = 0; r <= kZ; ++r) {
+    grown.AppendRow(Tuple({Value::Int(r % 5), Value::Null()}));
+    ASSERT_EQ(grown.zones(0).size(), r < kZ ? 2u : 4u) << r;
+  }
+  EXPECT_TRUE(ZonesTight(grown));
+
+  // Moving row 0 to 40 and back leaves block 0's zone loose.
+  enc.UpdateCell(0, 0, Value::Int(40));
+  EXPECT_EQ(enc.zones(0)[1], 40u);
+  enc.UpdateCell(0, 0, Value::Int(0));
+  EXPECT_EQ(enc.zones(0)[1], 40u);
+  EXPECT_FALSE(ZonesTight(enc));
+  ASSERT_OK(enc.CheckZones());
+
+  // Erasing the ⊥ row among others shifts rows across both seams.
+  const std::vector<int> erased = {5, kZ + 3, 2 * kZ + 1};
+  std::vector<Tuple> tuples;
+  for (int r : erased) {
+    tuples.push_back(Tuple({enc.DecodeCode(0, enc.code(0, r)),
+                            enc.DecodeCode(1, enc.code(1, r))}));
+  }
+  enc.EraseRows(erased);
+  ASSERT_OK(enc.CheckZones());
+  EXPECT_TRUE(ZonesTight(enc));
+  EXPECT_NE(enc.zones(0)[3], kNull);
+  enc.UneraseRows(erased, tuples);
+  ASSERT_OK(enc.CheckZones());
+  EXPECT_TRUE(ZonesTight(enc));
+  EXPECT_EQ(enc.zones(0)[3], kNull);
+  // Dropping the tail drops its block.
+  std::vector<int> tail;
+  for (int r = 2 * kZ; r < enc.num_rows(); ++r) tail.push_back(r);
+  enc.EraseRows(tail);
+  EXPECT_EQ(enc.zones(0).size(), 4u);
+  EXPECT_TRUE(ZonesTight(enc));
+
+  const EncodedTable gathered = snapshot.GatherRows({4100, 0, 2048, 7});
+  EXPECT_EQ(gathered.zones(0), (std::vector<uint32_t>{0, 41}));
+  std::vector<std::pair<const EncodedTable*, AttributeId>> sources = {
+      {&snapshot, 0}, {&snapshot, 1}};
+  EncodedTable target = EncodedTable::AllocateTarget(sources, kZ + 1);
+  for (AttributeId a = 0; a < 2; ++a) {
+    uint32_t* dst = target.mutable_codes(a);
+    for (int i = 0; i <= kZ; ++i) dst[i] = snapshot.code(a, kZ + i);
+  }
+  target.RecountNulls();
+  ASSERT_OK(target.CheckZones());
+  EXPECT_TRUE(ZonesTight(target));
+
+  // VACUUM on already-canonical columns still tightens a loose zone,
+  // and leaves the copy that shared the column as it was.
+  EncodedTable canonical(table);
+  canonical.UpdateCell(0, 0, Value::Int(40));
+  canonical.UpdateCell(0, 0, Value::Int(0));
+  const EncodedTable before = canonical;
+  canonical.CompactDictionaries();
+  EXPECT_TRUE(ZonesTight(canonical));
+  EXPECT_FALSE(ZonesTight(before));
+  ASSERT_OK(before.CheckZones());
+
+  EXPECT_EQ(snapshot.zones(0), snapshot_zones);
 }
 
 TEST(EncodedTableTest, AllocateTargetThenFillMatchesGather) {

@@ -77,6 +77,39 @@ TEST(HttpReaderTest, ToleratesBareLfFraming) {
   EXPECT_EQ(reader.request().headers.at("host"), "h");
 }
 
+// A head holding both terminators ends at the one complete first, in
+// one feed as when the second has not arrived yet: where the body
+// starts must not depend on how recv() split the stream.
+TEST(HttpReaderTest, HeadEndsAtTheFirstCompleteTerminator) {
+  const std::string wire =
+      "POST /x HTTP/1.1\nContent-Length: 2\n\nab\r\n\r\n";
+  HttpRequestReader whole;
+  ASSERT_EQ(whole.Feed(wire), State::kReady);
+  EXPECT_EQ(whole.request().body, "ab");
+  HttpRequestReader split;
+  ASSERT_EQ(split.Feed(wire.substr(0, 38)), State::kReady);
+  EXPECT_EQ(split.request().body, "ab");
+  EXPECT_EQ(split.Feed(wire.substr(38)), State::kReady);
+  // The CRLF CRLF left over is the next request's empty request line.
+  EXPECT_EQ(whole.ConsumeRequest(), State::kError);
+  EXPECT_EQ(split.ConsumeRequest(), State::kError);
+  EXPECT_EQ(whole.error_status(), split.error_status());
+}
+
+// The head limit holds whatever the split: a head within the limit is
+// accepted even when the bytes stop inside its CRLF CRLF.
+TEST(HttpReaderTest, HeadLimitDoesNotDependOnTheSplit) {
+  HttpReaderLimits limits;
+  limits.max_head_bytes = 40;
+  const std::string wire = "GET /" + std::string(24, 'a') + " HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(wire.find("\r\n\r\n"), 38u);
+  HttpRequestReader whole(limits);
+  EXPECT_EQ(whole.Feed(wire), State::kReady);
+  HttpRequestReader split(limits);
+  EXPECT_EQ(split.Feed(wire.substr(0, wire.size() - 1)), State::kNeedMore);
+  EXPECT_EQ(split.Feed(wire.substr(wire.size() - 1)), State::kReady);
+}
+
 TEST(HttpReaderTest, MalformedRequestLineIs400) {
   for (const char* wire :
        {"\r\n\r\n",                       // empty request line

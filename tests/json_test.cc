@@ -41,6 +41,27 @@ TEST(JsonParseTest, Int64ExactBoundaries) {
   EXPECT_FALSE(v.is_int());
 }
 
+// int_value() is defined for every double: values past int64's range
+// saturate instead of hitting the undefined float-to-int conversion.
+TEST(JsonParseTest, IntValueSaturatesOutOfRangeDoubles) {
+  struct Case {
+    const char* text;
+    int64_t want;
+  };
+  for (const Case& c : {Case{"1e300", INT64_MAX}, Case{"-1e300", INT64_MIN},
+                        Case{"1e999", INT64_MAX}, Case{"-1e999", INT64_MIN},
+                        Case{"9223372036854775808", INT64_MAX},
+                        Case{"-9223372036854775809", INT64_MIN},
+                        Case{"2.9", 2}, Case{"-2.9", -2}, Case{"0.5", 0}}) {
+    ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(c.text));
+    ASSERT_FALSE(v.is_int()) << c.text;
+    EXPECT_EQ(v.int_value(), c.want) << c.text;
+    ASSERT_OK_AND_ASSIGN(
+        JsonValue obj, ParseJson(std::string("{\"n\":") + c.text + "}"));
+    EXPECT_EQ(obj.GetInt("n", 7), c.want) << c.text;
+  }
+}
+
 TEST(JsonParseTest, NestedStructure) {
   ASSERT_OK_AND_ASSIGN(
       JsonValue v,

@@ -453,6 +453,81 @@ void CheckAllLevels(const Table& table, const EncodedTable& enc,
 // 4095–4097 around the second block boundary, and 6145 (three full
 // blocks plus a one-row tail). Column b marks the first and the last
 // row of each block, so `b = 1` keeps exactly the rows at the seams.
+// BlockMayMatch, counted on a constructed table: column k holds b in
+// every row of block b (ten blocks, the last one short; codes equal
+// values), column n is ⊥ throughout block 3 and 0 elsewhere. Each atom
+// kind admits exactly the blocks its matchable codes meet.
+TEST(PredicateFuzz, BlockMayMatchAdmitsOnlyBlocksWhoseZonesMeet) {
+  constexpr int kB = CompiledPredicate::kBlock;
+  constexpr AttributeId k = 0;
+  constexpr AttributeId n = 1;
+  const TableSchema schema = Schema("kn");
+  Table table(schema);
+  for (int r = 0; r < 10 * kB - 7; ++r) {
+    const int b = r / kB;
+    ASSERT_OK(table.AddRow(Tuple(
+        {Value::Int(b), b == 3 ? Value::Null() : Value::Int(0)})));
+  }
+  auto admitted = [&](const EncodedTable& enc, const Predicate& pred) {
+    const CompiledPredicate compiled(enc, pred);
+    std::vector<int> blocks;
+    for (int b = 0; b * kB < enc.num_rows(); ++b) {
+      if (compiled.BlockMayMatch(b)) blocks.push_back(b);
+    }
+    return blocks;
+  };
+  auto one = [](PredicateAtom atom) { return Predicate::And({atom}); };
+  using Blocks = std::vector<int>;
+  const Value absent = Value::Int(99);
+  const EncodedTable enc(table);
+
+  EXPECT_EQ(admitted(enc, one(Cmp(k, CompareOp::kEq, Value::Int(4)))),
+            Blocks({4}));
+  EXPECT_EQ(admitted(enc, one(Cmp(k, CompareOp::kEq, absent))), Blocks({}));
+  EXPECT_EQ(admitted(enc, one(Cmp(n, CompareOp::kEq, Value::Null()))),
+            Blocks({3}));
+  // <> rejects only a block holding nothing but its operand.
+  EXPECT_EQ(admitted(enc, one(Cmp(k, CompareOp::kNe, Value::Int(4)))),
+            Blocks({0, 1, 2, 3, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(admitted(enc, one(Cmp(n, CompareOp::kNe, Value::Int(0)))),
+            Blocks({3}));
+  EXPECT_EQ(admitted(enc, one(Between(k, Value::Int(2), Value::Int(4)))),
+            Blocks({2, 3, 4}));
+  EXPECT_EQ(admitted(enc, one(Cmp(k, CompareOp::kGt, Value::Int(7)))),
+            Blocks({8, 9}));
+  EXPECT_EQ(admitted(enc, one(Cmp(k, CompareOp::kLt, Value::Int(-3)))),
+            Blocks({}));
+  EXPECT_EQ(admitted(enc, one(In(k, {Value::Int(7), Value::Int(1), absent}))),
+            Blocks({1, 7}));
+  EXPECT_EQ(admitted(enc, one(In(n, {Value::Null(), absent}))), Blocks({3}));
+  // A conjunction admits the blocks every atom admits; a disjunction
+  // the blocks any disjunct admits.
+  EXPECT_EQ(admitted(enc, Predicate::And(
+                              {Cmp(k, CompareOp::kLe, Value::Int(5)),
+                               Cmp(n, CompareOp::kEq, Value::Int(0))})),
+            Blocks({0, 1, 2, 4, 5}));
+  Predicate either;
+  either.disjuncts.push_back({Cmp(k, CompareOp::kEq, Value::Int(1))});
+  either.disjuncts.push_back({Cmp(k, CompareOp::kGe, Value::Int(8)),
+                              Cmp(n, CompareOp::kEq, Value::Null())});
+  EXPECT_EQ(admitted(enc, either), Blocks({1}));
+  either.disjuncts.push_back({Cmp(k, CompareOp::kEq, Value::Int(8))});
+  EXPECT_EQ(admitted(enc, either), Blocks({1, 8}));
+  EXPECT_EQ(admitted(enc, Predicate::True()).size(), 10u);
+
+  // An out-of-order value leaves k's dictionary unordered: a range then
+  // compiles to a rank interval, which rejects no block, while equality
+  // still rejects by code.
+  EncodedTable unordered = enc;
+  unordered.AppendRow(Tuple({Value::Int(-1), Value::Int(0)}));
+  ASSERT_FALSE(unordered.DictionaryOrdered(k));
+  EXPECT_EQ(
+      admitted(unordered, one(Between(k, Value::Int(2), Value::Int(4)))).size(),
+      10u);
+  EXPECT_EQ(admitted(unordered, one(Cmp(k, CompareOp::kEq, Value::Int(4)))),
+            Blocks({4}));
+}
+
 TEST(PredicateFuzz, BlockAndVectorTailsAgreeAtEveryLevel) {
   constexpr int kBlock = CompiledPredicate::kBlock;
   const TableSchema schema = Schema("ab");

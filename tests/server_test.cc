@@ -117,6 +117,51 @@ TEST(ServerTest, ValidateReportsTheServiceThreadCountClampedTo16) {
   }
 }
 
+// /discover's max_rows is an integer literal no larger than 2^31-1.
+// Anything else is a 400 rather than a cap narrowed into an int:
+// 4294967297 used to truncate to 1 and sweep one row. Values <= 0 keep
+// the default cap.
+TEST(ServerTest, DiscoverRejectsMaxRowsOutsideInt) {
+  Database db;
+  SessionRegistry registry(&db);
+  SqlnfService service(&registry);
+  auto post = [&](const std::string& path, const std::string& body) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = path;
+    request.target = path;
+    request.body = body;
+    return service.Handle(request);
+  };
+  ASSERT_EQ(post("/query", R"({"sql":"CREATE TABLE t (a TEXT, b TEXT);)"
+                           R"(INSERT INTO t VALUES ('1', 'x'), ('1', 'y');"})")
+                .status,
+            200);
+  auto discover = [&](const std::string& max_rows) {
+    return post("/discover", R"({"table":"t","max_rows":)" + max_rows + "}");
+  };
+  const HttpResponse full = post("/discover", R"({"table":"t"})");
+  ASSERT_EQ(full.status, 200);
+  const HttpResponse one = discover("1");
+  ASSERT_EQ(one.status, 200);
+  // One row never sees the a ->w b violation, so the cap shows.
+  EXPECT_NE(one.body, full.body);
+  for (const char* bad : {"4294967297", "2147483648", "1e300", "-1e300",
+                          "2.5", "1e3", "\"5\"", "null", "[1]"}) {
+    const HttpResponse r = discover(bad);
+    EXPECT_EQ(r.status, 400) << bad;
+    ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(r.body));
+    const JsonValue* error = v.Find("error");
+    ASSERT_NE(error, nullptr) << bad;
+    EXPECT_EQ(error->Find("code")->str_value(), "InvalidArgument") << bad;
+  }
+  for (const char* fine : {"2147483647", "0", "-5", "-9223372036854775808"}) {
+    const HttpResponse r = discover(fine);
+    EXPECT_EQ(r.status, 200) << fine;
+    EXPECT_EQ(r.body, full.body) << fine;
+  }
+}
+
 // GET /health only counts tables. Publishing a snapshot there would
 // make the next write clone every column it touches, since the fresh
 // epoch shares them; the write after /health must land in the same
