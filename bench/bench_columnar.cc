@@ -59,8 +59,19 @@
 // SelectRowsEncoded. The gate requires the decoded rows to match in
 // order and the SQL path to be ≥ 10× faster (medians of 9).
 //
-// `bench_columnar --check` runs ONLY the E19 and E20 sections (fast);
-// CI's scalar-forced job runs the whole check.
+// E22 — decode at render: the four query-light shapes of the
+// front-door benchmark on the 173k `contractor` table (a point lookup
+// on (new, city, url), `new BETWEEN k AND k+4`, `new IN (three keys)
+// AND city = c`, and a two-disjunct OR), each run through
+// ExecuteReadOnly and rendered by RenderJson straight from the
+// result's codes. The comparison is what a SELECT cost before: the
+// same selections decoded into a row-major Table, then rendered by a
+// copy of the Table walker that RenderJson used to be. The gate
+// requires byte-identical responses and the code path ≥ 2× faster
+// (medians of 9 runs of every shape).
+//
+// `bench_columnar --check` runs ONLY the E19, E20 and E22 sections
+// (fast); CI's scalar-forced job runs the whole check.
 //
 // Timings are also emitted machine-readably to BENCH_columnar.json,
 // BENCH_rangescan.json, and BENCH_simd.json in the working directory:
@@ -87,9 +98,11 @@
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/result.h"
 #include "sqlnf/engine/sql.h"
 #include "sqlnf/reference/relops.h"
 #include "sqlnf/util/fnv.h"
+#include "sqlnf/util/json.h"
 #include "sqlnf/util/rng.h"
 #include "sqlnf/util/text_table.h"
 
@@ -105,6 +118,17 @@ constexpr char kLambdaFds[] =
     "new,cmd_name,phone,url,contractor_version,status_flag; "
     "new,address1,contractor_bus_name,contractor_type_id ->w "
     "new,address1,contractor_bus_name,contractor_type_id,url";
+
+/// The string value `v` as a SQL literal: single-quoted, embedded
+/// quotes doubled.
+std::string SqlQuote(const Value& v) {
+  std::string out = "'";
+  for (char ch : v.str_value()) {
+    out += ch;
+    if (ch == '\'') out += ch;
+  }
+  return out + "'";
+}
 
 /// One timing record for BENCH_columnar.json.
 struct BenchRecord {
@@ -375,14 +399,9 @@ int RunSelectiveJoinE20() {
   const int64_t k = 7;
   const Value city = contractor.row(0)[ValueOrDie(
       contractor.schema().FindAttribute("city"), "city")];
-  std::string city_sql = "'";
-  for (char ch : city.str_value()) {
-    city_sql += ch;
-    if (ch == '\'') city_sql += ch;
-  }
   const std::string sql =
       "SELECT * FROM version NATURAL JOIN remainder WHERE new = " +
-      std::to_string(k) + " AND city = " + city_sql + "'";
+      std::to_string(k) + " AND city = " + SqlQuote(city);
 
   auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
@@ -415,7 +434,7 @@ int RunSelectiveJoinE20() {
     }));
   }
 
-  const Table& got = *sql_result->rows;
+  const Table got = sql_result->rows->ToTable();
   bool same = got.num_rows() == composed->num_rows() && got.num_rows() > 0;
   for (int i = 0; same && i < got.num_rows(); ++i) {
     same = got.row(i) == composed->row(i);
@@ -434,6 +453,162 @@ int RunSelectiveJoinE20() {
   const bool ok = same && speedup >= 10.0;
   std::printf("E20 shape check (identical rows in order, SQL path ≥10× "
               "the unfiltered composition: %.1f×): %s\n",
+              speedup, ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
+}
+
+// --- E22: decode at render, codes vs a decoded Table.
+
+// The JSON envelope RenderJson wrote before results stayed on codes: it
+// walked a decoded Table row by row. Kept here as the E22 baseline.
+std::string RenderTableJson(const QueryResult& r, const Table& t) {
+  auto write_cell = [](const Value& v, JsonWriter* w) {
+    switch (v.kind()) {
+      case Value::Kind::kNull:
+        w->Null();
+        break;
+      case Value::Kind::kInt:
+        w->Int(v.int_value());
+        break;
+      case Value::Kind::kString:
+        w->String(v.str_value());
+        break;
+    }
+  };
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("ok");
+  w.Bool(true);
+  w.Key("statements");
+  w.BeginArray();
+  w.BeginObject();
+  w.Key("message");
+  w.String(r.message);
+  w.Key("affected");
+  w.Int(r.affected);
+  w.Key("rows");
+  w.BeginObject();
+  w.Key("columns");
+  w.BeginArray();
+  for (int c = 0; c < t.num_columns(); ++c) {
+    w.String(t.schema().attribute_name(c));
+  }
+  w.EndArray();
+  w.Key("data");
+  w.BeginArray();
+  for (int i = 0; i < t.num_rows(); ++i) {
+    w.BeginArray();
+    for (int c = 0; c < t.num_columns(); ++c) write_cell(t.row(i)[c], &w);
+    w.EndArray();
+  }
+  w.EndArray();
+  w.EndObject();
+  w.EndObject();
+  w.EndArray();
+  w.EndObject();
+  return std::move(w).Take();
+}
+
+int RunRenderE22() {
+  using bench::TimeMs;
+  using bench::ValueOrDie;
+  constexpr int kRuns = 9;
+  constexpr int kRounds = 40;  // requests of each shape per timed run
+
+  const Table base = ValueOrDie(Contractor(), "contractor");
+  Table big = ValueOrDie(CrossWithSequence(base, kScale, "new"), "cross");
+  *big.mutable_schema() = ValueOrDie(
+      big.schema().Project(big.schema().all(), "contractor"), "rename");
+  Database db;
+  {
+    WriterScope writer;
+    bench::CheckOk(db.IngestTable(big, ConstraintSet{}), "ingest");
+  }
+  const std::map<std::string, TableSnapshot> snaps = db.SnapshotAll();
+
+  // The four light shapes, with literals drawn from the base rows.
+  auto cell = [&](int row, const char* column) {
+    return base.row(row)[ValueOrDie(base.schema().FindAttribute(column),
+                                    column)];
+  };
+  const struct Shape {
+    const char* name;
+    std::string sql;
+  } shapes[] = {
+      {"point",
+       "SELECT new, city, url, status FROM contractor WHERE new = 17 AND "
+       "city = " + SqlQuote(cell(5, "city")) + " AND url = " +
+           SqlQuote(cell(5, "url"))},
+      {"range",
+       "SELECT new, url FROM contractor WHERE new BETWEEN 400 AND 404"},
+      {"in",
+       "SELECT new, city, phone FROM contractor WHERE new IN (3, 500, 998) "
+       "AND city = " + SqlQuote(cell(40, "city"))},
+      {"or",
+       "SELECT new, city, url FROM contractor WHERE new = 250 AND city = " +
+           SqlQuote(cell(90, "city")) + " OR new = 750 AND url = " +
+           SqlQuote(cell(120, "url"))},
+  };
+
+  // Both paths parse and scan the same way; they differ from the
+  // selected codes on: RenderJson from codes, or a decoded Table
+  // rendered by the old walker.
+  auto from_codes = [&](const std::string& sql) {
+    return RenderJson(
+        ResultSet::Of({ValueOrDie(ExecuteReadOnly(snaps, sql), "select")}));
+  };
+  auto from_table = [&](const std::string& sql) {
+    const QueryResult r = ValueOrDie(ExecuteReadOnly(snaps, sql), "select");
+    return RenderTableJson(r, r.rows->ToTable());
+  };
+  bool same = true;
+  std::vector<int> rows;
+  for (const Shape& shape : shapes) {
+    const QueryResult r =
+        ValueOrDie(ExecuteReadOnly(snaps, shape.sql), "select");
+    rows.push_back(r.rows->num_rows());
+    same = same && r.rows->num_rows() > 0 &&
+           from_codes(shape.sql) == from_table(shape.sql);
+  }
+  volatile size_t sink = 0;
+  auto time_path = [&](const auto& render) {
+    std::vector<double> per_shape_us[4];
+    std::vector<double> total_ms;
+    for (int run = 0; run < kRuns; ++run) {
+      double total = 0;
+      for (size_t i = 0; i < 4; ++i) {
+        const double ms = TimeMs([&] {
+          for (int round = 0; round < kRounds; ++round) {
+            sink = sink + render(shapes[i].sql).size();
+          }
+        });
+        per_shape_us[i].push_back(ms * 1e3 / kRounds);
+        total += ms;
+      }
+      total_ms.push_back(total);
+    }
+    std::vector<double> medians;
+    for (auto& v : per_shape_us) medians.push_back(bench::Percentile(&v, 0.5));
+    medians.push_back(bench::Percentile(&total_ms, 0.5));
+    return medians;
+  };
+  const std::vector<double> codes = time_path(from_codes);
+  const std::vector<double> decoded = time_path(from_table);
+
+  std::printf("\nE22 decode at render: contractor (%d rows), %d requests of "
+              "each light shape per run, medians of %d runs\n",
+              big.num_rows(), kRounds, kRuns);
+  std::printf("  %-6s %6s %14s %14s %8s\n", "shape", "rows", "codes µs/req",
+              "Table µs/req", "ratio");
+  for (size_t i = 0; i < 4; ++i) {
+    std::printf("  %-6s %6d %14.1f %14.1f %7.2fx\n", shapes[i].name, rows[i],
+                codes[i], decoded[i], decoded[i] / codes[i]);
+  }
+  const double speedup = decoded[4] / codes[4];
+  const bool ok = same && speedup >= 2.0;
+  std::printf("E22 shape check (byte-identical responses, RenderJson from "
+              "codes ≥2× a decoded Table and its walker over all four "
+              "shapes: %.2f×): %s\n",
               speedup, ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
@@ -763,12 +938,14 @@ int Run() {
               range_gate_speedup, shuffled_speedup,
               range_ok ? "OK" : "FAILED");
 
-  // E19 and E20 run last so their tables land next to the shape checks.
+  // E19, E20 and E22 run last so their tables land next to the shape
+  // checks.
   const bool simd_ok = RunSimdE19() == 0;
   const bool selective_join_ok = RunSelectiveJoinE20() == 0;
+  const bool render_ok = RunRenderE22() == 0;
 
   const bool ok = join_same && scan_same && update_same && lossless &&
-                  range_ok && simd_ok && selective_join_ok &&
+                  range_ok && simd_ok && selective_join_ok && render_ok &&
                   row_join_ms / enc_join_ms >= 2.0;
   std::printf("shape check (columnar join ≥2× row-major, identical "
               "results): %s\n",
@@ -781,11 +958,12 @@ int Run() {
 
 int main(int argc, char** argv) {
   // `--check` runs only the E19 kernel gate (fast; skips its perf bar
-  // without AVX2) and the E20 selective-join gate.
+  // without AVX2), the E20 selective-join gate and the E22 render gate.
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) {
     const int simd = sqlnf::RunSimdE19();
     const int join = sqlnf::RunSelectiveJoinE20();
-    return simd != 0 || join != 0 ? 1 : 0;
+    const int render = sqlnf::RunRenderE22();
+    return simd != 0 || join != 0 || render != 0 ? 1 : 0;
   }
   return sqlnf::Run();
 }

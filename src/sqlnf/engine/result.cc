@@ -1,12 +1,33 @@
 #include "sqlnf/engine/result.h"
 
+#include <cassert>
 #include <utility>
 
 #include "sqlnf/core/value.h"
-#include "sqlnf/engine/csv.h"
 #include "sqlnf/util/json.h"
 
 namespace sqlnf {
+
+ResultRows::ResultRows(TableSchema schema, EncodedTable columns)
+    : schema_(std::move(schema)), columns_(std::move(columns)) {
+  assert(columns_.num_columns() == schema_.num_attributes());
+}
+
+ResultRows::ResultRows(const Table& table)
+    : schema_(table.schema()), columns_(table) {}
+
+Tuple ResultRows::row(int i) const {
+  std::vector<Value> values;
+  values.reserve(num_columns());
+  for (AttributeId c = 0; c < num_columns(); ++c) {
+    values.push_back(cell(i, c));
+  }
+  return Tuple(std::move(values));
+}
+
+Table ResultRows::ToTable() const { return columns_.Decode(schema_); }
+
+std::string ResultRows::ToString() const { return ToTable().ToString(); }
 
 std::string QueryResult::ToString() const {
   std::string out = message;
@@ -56,26 +77,6 @@ ErrorDetail MakeErrorDetail(const Status& status, std::string_view script,
   return d;
 }
 
-std::string RenderStatementText(const QueryResult& result) {
-  return result.ToString();
-}
-
-std::string RenderCsv(const ResultSet& rs) {
-  std::string out;
-  bool first = true;
-  for (const QueryResult& r : rs.statements) {
-    if (!first) out += "\n";
-    first = false;
-    if (r.rows.has_value()) {
-      out += WriteCsvString(*r.rows);
-    } else {
-      out += r.message;
-      out += "\n";
-    }
-  }
-  return out;
-}
-
 namespace {
 
 void WriteCell(const Value& v, JsonWriter* w) {
@@ -99,12 +100,12 @@ void WriteStatement(const QueryResult& r, JsonWriter* w) {
   w->Key("affected");
   w->Int(r.affected);
   if (r.rows.has_value()) {
-    const Table& t = *r.rows;
+    const ResultRows& t = *r.rows;
     w->Key("rows");
     w->BeginObject();
     w->Key("columns");
     w->BeginArray();
-    for (int c = 0; c < t.num_columns(); ++c) {
+    for (AttributeId c = 0; c < t.num_columns(); ++c) {
       w->String(t.schema().attribute_name(c));
     }
     w->EndArray();
@@ -112,8 +113,8 @@ void WriteStatement(const QueryResult& r, JsonWriter* w) {
     w->BeginArray();
     for (int i = 0; i < t.num_rows(); ++i) {
       w->BeginArray();
-      for (int c = 0; c < t.num_columns(); ++c) {
-        WriteCell(t.row(i)[c], w);
+      for (AttributeId c = 0; c < t.num_columns(); ++c) {
+        WriteCell(t.cell(i, c), w);
       }
       w->EndArray();
     }

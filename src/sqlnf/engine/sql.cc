@@ -238,13 +238,15 @@ const EncodedTable* FilterJoinInput(const EncodedTable& input,
 /// schema, filters each join input by what the WHERE implies for it
 /// (engine/predicate.h JoinInputFilters), joins the filtered inputs,
 /// applies the full WHERE to the join's output — which keeps an OR
-/// spanning inputs exact — and decodes only the selected rows of the
-/// projected columns. The rows and their order are those of joining
-/// whole tables and filtering afterwards: the join emits left-major
-/// with right rows ascending, and filtered inputs keep their ascending
-/// order, so the output is the same subsequence. A single-table SELECT
-/// is one scan with no gather. Role-free — it reads only through the
-/// TableRefs the caller resolved, never the Database.
+/// spanning inputs exact — and gathers the codes of the selected rows
+/// of the projected columns into the result, which shares their
+/// dictionaries and decodes nothing (engine/result.h). The rows and
+/// their order are those of joining whole tables and filtering
+/// afterwards: the join emits left-major with right rows ascending, and
+/// filtered inputs keep their ascending order, so the output is the
+/// same subsequence. A single-table SELECT is one scan and one gather.
+/// Role-free — it reads only through the TableRefs the caller resolved,
+/// never the Database.
 Result<QueryResult> SelectCore(const ParsedSelect& ps,
                                const std::vector<TableRef>& refs,
                                int* error_offset) {
@@ -314,20 +316,11 @@ Result<QueryResult> SelectCore(const ParsedSelect& ps,
                            TableSchema::Make("result", names));
     out_schema = std::move(schema);
   }
-  Table output(std::move(*out_schema));
-  output.ReserveRows(static_cast<int>(sel.size()));
-  for (int i : sel) {
-    std::vector<Value> row;
-    row.reserve(ids.size());
-    for (AttributeId id : ids) {
-      row.push_back(cur_cols->DecodeCode(id, cur_cols->code(id, i)));
-    }
-    SQLNF_RETURN_NOT_OK(output.AddRow(Tuple(std::move(row))));
-  }
   QueryResult result;
-  result.affected = output.num_rows();
-  result.message = std::to_string(output.num_rows()) + " row(s)";
-  result.rows = std::move(output);
+  result.affected = static_cast<int>(sel.size());
+  result.message = std::to_string(sel.size()) + " row(s)";
+  result.rows.emplace(std::move(*out_schema),
+                      cur_cols->GatherColumns(ids).GatherRows(sel));
   return result;
 }
 

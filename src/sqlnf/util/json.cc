@@ -1,7 +1,9 @@
 #include "sqlnf/util/json.h"
 
+#include <array>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -198,11 +200,53 @@ class JsonParser {
     } else if (cp < 0x800) {
       out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
       out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
+    } else if (cp < 0x10000) {
       out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
       out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
       out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
     }
+  }
+
+  /// The four hex digits of a \u escape, `pos_` just past the 'u'.
+  Result<uint32_t> ParseHex4() {
+    if (pos_ + 4 > text_.size()) return Err("truncated \\u escape");
+    uint32_t cp = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      cp <<= 4;
+      if (h >= '0' && h <= '9') {
+        cp |= static_cast<uint32_t>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        cp |= static_cast<uint32_t>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        cp |= static_cast<uint32_t>(h - 'A' + 10);
+      } else {
+        return Err("invalid hex digit in \\u escape");
+      }
+    }
+    return cp;
+  }
+
+  /// The code point of a \u escape, `pos_` just past the 'u'. A high
+  /// surrogate must be followed by a \u low surrogate, and the pair is
+  /// one code point outside the BMP; a lone or reversed surrogate is
+  /// an error.
+  Result<uint32_t> ParseUnicodeEscape() {
+    SQLNF_ASSIGN_OR_RETURN(const uint32_t hi, ParseHex4());
+    if (hi >= 0xDC00 && hi <= 0xDFFF) return Err("lone low surrogate");
+    if (hi < 0xD800 || hi > 0xDBFF) return hi;
+    if (text_.substr(pos_, 2) != "\\u") return Err("lone high surrogate");
+    pos_ += 2;
+    SQLNF_ASSIGN_OR_RETURN(const uint32_t lo, ParseHex4());
+    if (lo < 0xDC00 || lo > 0xDFFF) {
+      return Err("high surrogate without a low surrogate");
+    }
+    return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
   }
 
   Result<std::string> ParseString() {
@@ -235,21 +279,7 @@ class JsonParser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return Err("truncated \\u escape");
-          uint32_t cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<uint32_t>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<uint32_t>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<uint32_t>(h - 'A' + 10);
-            } else {
-              return Err("invalid hex digit in \\u escape");
-            }
-          }
+          SQLNF_ASSIGN_OR_RETURN(const uint32_t cp, ParseUnicodeEscape());
           AppendUtf8(cp, &out);
           break;
         }
@@ -307,31 +337,56 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return JsonParser(text).Parse();
 }
 
+namespace {
+
+// Per byte, what JSON writes for it inside a string: 0 for the byte
+// itself, 'u' for the \u00XX form, else the letter after the
+// backslash. Bytes from 0x7F up, UTF-8 included, are written as they
+// are.
+constexpr std::array<char, 256> kEscape = [] {
+  std::array<char, 256> table{};
+  for (int c = 0; c < 0x20; ++c) table[c] = 'u';
+  table['"'] = '"';
+  table['\\'] = '\\';
+  table['\b'] = 'b';
+  table['\f'] = 'f';
+  table['\n'] = 'n';
+  table['\r'] = 'r';
+  table['\t'] = 't';
+  return table;
+}();
+
+// Appends `s` as a JSON string literal: each run of bytes that needs no
+// escape is appended whole.
+void AppendQuoted(std::string_view s, std::string* out) {
+  out->push_back('"');
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char b = static_cast<unsigned char>(s[i]);
+    const char e = kEscape[b];
+    if (e == 0) continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    if (e == 'u') {
+      constexpr char kHex[] = "0123456789abcdef";
+      const char escaped[6] = {'\\', 'u', '0', '0', kHex[b >> 4],
+                               kHex[b & 0xF]};
+      out->append(escaped, sizeof(escaped));
+    } else {
+      const char escaped[2] = {'\\', e};
+      out->append(escaped, sizeof(escaped));
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
+}  // namespace
+
 std::string JsonQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  AppendQuoted(s, &out);
   return out;
 }
 
@@ -370,19 +425,20 @@ void JsonWriter::EndArray() {
 
 void JsonWriter::Key(std::string_view key) {
   Separate();
-  out_ += JsonQuote(key);
+  AppendQuoted(key, &out_);
   out_.push_back(':');
   key_pending_ = true;
 }
 
 void JsonWriter::String(std::string_view s) {
   Separate();
-  out_ += JsonQuote(s);
+  AppendQuoted(s, &out_);
 }
 
 void JsonWriter::Int(int64_t v) {
   Separate();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void JsonWriter::Double(double v) {

@@ -3,14 +3,16 @@
 //
 // The wire format of `sqlnf serve` is JSON on both sides: request
 // bodies are parsed with ParseJson into a JsonValue tree, responses are
-// composed with JsonWriter. The dialect is standard RFC 8259 minus two
-// deliberate simplifications on the READ side: numbers are held as
+// composed with JsonWriter. The dialect is standard RFC 8259 minus one
+// deliberate simplification on the READ side: numbers are held as
 // int64 when they parse exactly as integers (the engine's only numeric
-// type) and as double otherwise, and \u escapes outside the BMP are
-// not combined into surrogate pairs (each escape decodes to its own
-// code point). The WRITE side emits only what the engine produces:
-// null, int64, doubles (%.17g), and UTF-8 strings with the mandatory
-// control/quote/backslash escapes.
+// type) and as double otherwise. A \u escape decodes to UTF-8; a
+// surrogate pair (\ud83d\ude00, as encoders that escape everything
+// outside ASCII send it) becomes one 4-byte sequence, and a lone or
+// reversed surrogate is a ParseError. The WRITE side emits only what
+// the engine produces: null, int64, doubles (%.17g), and strings with
+// the mandatory control/quote/backslash escapes, every other byte
+// written as it is.
 //
 // No third-party dependency, no iostreams, no locale sensitivity.
 

@@ -43,11 +43,13 @@
 #include "sqlnf/engine/catalog.h"
 #include "sqlnf/engine/enforcer.h"
 #include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/result.h"
 #include "sqlnf/engine/session.h"
 #include "sqlnf/engine/sql.h"
 #include "sqlnf/engine/validate.h"
 #include "sqlnf/reference/relops.h"
 #include "sqlnf/reference/validate.h"
+#include "sqlnf/util/json.h"
 #include "sqlnf/util/rng.h"
 #include "reference_oracle.h"
 #include "test_util.h"
@@ -1367,9 +1369,63 @@ Tuple InputRow(const Tuple& joined_row, const TableSchema& joined,
   return Tuple(std::move(cells));
 }
 
+// Whether a cell RenderJson wrote is the oracle's value: ⊥ → null,
+// ints → numbers, strings → strings.
+bool JsonCellIs(const JsonValue& cell, const Value& want) {
+  switch (want.kind()) {
+    case Value::Kind::kNull:
+      return cell.is_null();
+    case Value::Kind::kInt:
+      return cell.is_int() && cell.int_value() == want.int_value();
+    case Value::Kind::kString:
+      return cell.is_string() && cell.str_value() == want.str_value();
+  }
+  return false;
+}
+
+// Renders `got` with RenderJson, parses the response back and holds its
+// column names and every cell to the oracle's rows: `expect` projected
+// onto `projection` (all columns when empty).
+void CheckRenderedJson(const QueryResult& got,
+                       const std::vector<std::string>& names,
+                       const Table& expect,
+                       const std::vector<AttributeId>& projection,
+                       const std::string& what) {
+  const Result<JsonValue> doc = ParseJson(RenderJson(ResultSet::Of({got})));
+  ASSERT_OK(doc.status()) << what;
+  const JsonValue* statements = doc->Find("statements");
+  ASSERT_TRUE(statements != nullptr && statements->items().size() == 1)
+      << what;
+  const JsonValue* rows = statements->items()[0].Find("rows");
+  ASSERT_NE(rows, nullptr) << what;
+  const JsonValue* columns = rows->Find("columns");
+  ASSERT_NE(columns, nullptr) << what;
+  ASSERT_EQ(columns->items().size(), names.size()) << what;
+  for (size_t j = 0; j < names.size(); ++j) {
+    EXPECT_EQ(columns->items()[j].str_value(), names[j]) << what;
+  }
+  const JsonValue* data = rows->Find("data");
+  ASSERT_NE(data, nullptr) << what;
+  ASSERT_EQ(data->items().size(), static_cast<size_t>(expect.num_rows()))
+      << what;
+  for (int r = 0; r < expect.num_rows(); ++r) {
+    const std::vector<JsonValue>& cells = data->items()[r].items();
+    ASSERT_EQ(cells.size(), names.size()) << what << " row " << r;
+    for (size_t j = 0; j < names.size(); ++j) {
+      const Value& want =
+          expect.row(r)[projection.empty() ? static_cast<AttributeId>(j)
+                                           : projection[j]];
+      ASSERT_TRUE(JsonCellIs(cells[j], want))
+          << what << " row " << r << " column " << j << " want "
+          << want.ToString();
+    }
+  }
+}
+
 // Runs one SELECT over `tables` (joined in that order, names may
 // repeat) through both SQL entry points at every SIMD level and holds
-// the rows to JoinAll + SelectWhere; checks each input's filter.
+// the rows to JoinAll + SelectWhere, and the RenderJson response to
+// the same cells; checks each input's filter.
 void CheckJoinSelect(Database* db, const std::vector<Table>& tables,
                      const Predicate& where,
                      const std::vector<AttributeId>& projection,
@@ -1423,9 +1479,17 @@ void CheckJoinSelect(Database* db, const std::vector<Table>& tables,
     }
   }
 
+  std::vector<std::string> out_names = cols;
+  if (cols.empty()) {
+    for (AttributeId a = 0; a < js.num_attributes(); ++a) {
+      out_names.push_back(js.attribute_name(a));
+    }
+  }
   auto check = [&](const Result<QueryResult>& got, const std::string& path) {
     ASSERT_OK(got.status()) << what << " " << path << "\n" << sql;
-    const Table& rows = *got->rows;
+    CheckRenderedJson(*got, out_names, expect, projection,
+                      what + " " + path + "\n" + sql);
+    const ResultRows& rows = *got->rows;
     ASSERT_EQ(rows.num_rows(), expect.num_rows())
         << what << " " << path << "\n" << sql;
     for (int r = 0; r < rows.num_rows(); ++r) {
@@ -1499,6 +1563,126 @@ TEST(DifferentialTest, ExecutorFilteredJoinsMatchJoinThenSelect) {
                     "join iter=" + std::to_string(iter) + " ways=" +
                         std::to_string(ways));
   }
+}
+
+// Cells whose rendering is hardest to get right: strings that need
+// every JSON escape (quote, backslash, the named and the \u00XX control
+// escapes), bytes JSON writes as they are (0x7F, '/', multi-byte
+// UTF-8), and the empty string.
+const std::vector<std::string>& HostileStrings() {
+  static const std::vector<std::string> kStrings = {
+      "plain",
+      "q\"uote",
+      "back\\slash",
+      std::string("nul\0mid", 7),
+      "\x01\x1f\x0b",
+      "\t\n\r\b\f",
+      "\x7f/",
+      "\xc3\xa9\xe4\xb8\xad\xf0\x9f\x98\x80",
+      "",
+  };
+  return kStrings;
+}
+
+// A join input for the rendering sweep: shared int columns drawn from
+// [-2, 1] with ⊥ (negative ints, duplicates, ⊥ = ⊥ matches), plus one
+// string column of its own drawn from HostileStrings with ⊥.
+Table RandomHostileJoinInput(Rng* rng, int index,
+                             const std::vector<std::string>& shared,
+                             int rows) {
+  std::vector<std::string> attrs = shared;
+  attrs.push_back("o" + std::to_string(index));
+  std::vector<std::vector<Value>> cells;
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < shared.size(); ++c) {
+      row.push_back(rng->Chance(0.2) ? Value::Null()
+                                     : Value::Int(rng->Uniform(-2, 1)));
+    }
+    row.push_back(rng->Chance(0.15)
+                      ? Value::Null()
+                      : Value::Str(HostileStrings()[rng->Index(
+                            HostileStrings().size())]));
+    cells.push_back(std::move(row));
+  }
+  return MakeJoinInput("t" + std::to_string(index), attrs, cells);
+}
+
+// RenderJson over 1-, 2- and 4-way NATURAL JOINs of tables holding ⊥,
+// negative ints and strings that need every escape: the response must
+// carry JoinAll + SelectWhere's cells (CheckJoinSelect parses it back),
+// empty selections included, at every SIMD level. A repeated projected
+// column is refused by the output schema on both SQL paths.
+TEST(DifferentialTest, ExecutorJsonRendersTheOracleCells) {
+  Rng rng(8128);
+  const std::vector<std::string> pool = {"k", "m"};
+  const int cases = ScaledIters(60);
+  int empty = 0, nonempty = 0;
+  for (int iter = 0; iter < cases; ++iter) {
+    const int ways = std::vector<int>{1, 2, 4}[rng.Index(3)];
+    const int max_rows = ways == 4 ? 5 : 10;
+    std::vector<Table> tables;
+    Database db;
+    for (int i = 0; i < ways; ++i) {
+      std::vector<std::string> shared;
+      for (const std::string& c : pool) {
+        if (rng.Chance(0.6)) shared.push_back(c);
+      }
+      tables.push_back(RandomHostileJoinInput(
+          &rng, i, shared, static_cast<int>(rng.Uniform(0, max_rows))));
+      WriterScope writer;
+      ASSERT_OK(db.IngestTable(tables.back(), ConstraintSet{}));
+    }
+    auto joined = JoinAll(tables, "t0_join");
+    ASSERT_OK(joined.status());
+    const TableSchema& js = joined->schema();
+
+    // One atom on a random column, or none; a value from the column's
+    // domain keeps some selections non-empty and others empty.
+    Predicate where = Predicate::True();
+    if (rng.Chance(0.8)) {
+      const AttributeId col =
+          static_cast<AttributeId>(rng.Index(js.num_attributes()));
+      const bool own = js.attribute_name(col)[0] == 'o';
+      Value v = rng.Chance(0.15)
+                    ? Value::Null()
+                    : (own ? Value::Str(HostileStrings()[rng.Index(
+                                 HostileStrings().size())])
+                           : Value::Int(rng.Uniform(-3, 1)));
+      where = Predicate::And(
+          {Cmp(col, rng.Chance(0.7) ? CompareOp::kEq : CompareOp::kNe,
+               std::move(v))});
+    }
+    std::vector<AttributeId> projection;
+    if (rng.Chance(0.4)) {
+      for (AttributeId a = js.num_attributes() - 1; a >= 0; --a) {
+        if (rng.Chance(0.6)) projection.push_back(a);
+      }
+    }
+    const int selected =
+        SelectWhere(*joined, [&](const Tuple& t) {
+          return MatchesPredicate(t, where);
+        }).num_rows();
+    (selected == 0 ? empty : nonempty) += 1;
+    CheckJoinSelect(&db, tables, where, projection,
+                    "render iter=" + std::to_string(iter) + " ways=" +
+                        std::to_string(ways));
+
+    const std::string repeated = "SELECT o0, o0 FROM t0;";
+    const Result<QueryResult> refused =
+        ExecuteReadOnly(db.SnapshotAll(), repeated);
+    ASSERT_FALSE(refused.ok()) << repeated;
+    EXPECT_EQ(refused.status().ToString(),
+              "InvalidArgument: duplicate attribute name: o0");
+    WriterScope writer;
+    SqlSession session(&db);
+    const Result<QueryResult> live = session.Execute(repeated);
+    ASSERT_FALSE(live.ok()) << repeated;
+    EXPECT_EQ(live.status().ToString(), refused.status().ToString());
+  }
+  // The sweep reaches both kinds of selection.
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(nonempty, 0);
 }
 
 TEST(DifferentialTest, ExecutorFilteredJoinCorners) {

@@ -6,6 +6,7 @@
 // streams through HttpRequestReader at random chunk splits.
 
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -205,6 +206,90 @@ void Walk(const JsonValue& v, int* numbers) {
   }
   (void)v.GetInt("max_rows", 0);
   (void)v.GetString("table");
+}
+
+// A random string of valid UTF-8 (1- to 4-byte sequences, no
+// surrogates) mixed with control bytes, quotes and backslashes. Also
+// writes into `*ascii_json` the string as a JSON literal that escapes
+// everything outside printable ASCII as \uXXXX, with surrogate pairs
+// above the BMP (what Python's json.dumps sends by default).
+std::string RandomUtf8WithControls(Rng* rng, int max_chars,
+                                   std::string* ascii_json) {
+  std::string out;
+  *ascii_json = "\"";
+  const int n = static_cast<int>(rng->Uniform(0, max_chars));
+  for (int i = 0; i < n; ++i) {
+    uint32_t cp = 0;
+    switch (rng->Index(7)) {
+      case 0: cp = static_cast<uint32_t>(rng->Uniform(0x00, 0x1F)); break;
+      case 1: cp = rng->Chance(0.5) ? '"' : '\\'; break;
+      case 2: cp = static_cast<uint32_t>(rng->Uniform(0x20, 0x7F)); break;
+      case 3: cp = static_cast<uint32_t>(rng->Uniform(0x80, 0x7FF)); break;
+      case 4:
+        do {
+          cp = static_cast<uint32_t>(rng->Uniform(0x800, 0xFFFF));
+        } while (cp >= 0xD800 && cp <= 0xDFFF);
+        break;
+      default:
+        cp = static_cast<uint32_t>(rng->Uniform(0x10000, 0x10FFFF));
+    }
+    auto escape = [&](uint32_t unit) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "\\u%04X", unit);
+      *ascii_json += buf;
+    };
+    if (cp >= 0x20 && cp < 0x7F && cp != '"' && cp != '\\') {
+      ascii_json->push_back(static_cast<char>(cp));
+    } else if (cp < 0x10000) {
+      escape(cp);
+    } else {
+      escape(0xD800 + ((cp - 0x10000) >> 10));
+      escape(0xDC00 + ((cp - 0x10000) & 0x3FF));
+    }
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+  }
+  ascii_json->push_back('"');
+  return out;
+}
+
+// Whatever JsonQuote writes, ParseJson reads back byte for byte, and
+// the writer's keys and strings agree with it. The same string sent
+// with every non-ASCII character escaped (surrogate pairs above the
+// BMP) parses to the same UTF-8.
+TEST(FuzzTest, JsonQuoteRoundTrips) {
+  Rng rng(2718);
+  for (int i = 0; i < 3000; ++i) {
+    std::string ascii_json;
+    const std::string s = RandomUtf8WithControls(&rng, 24, &ascii_json);
+    const std::string quoted = JsonQuote(s);
+    Result<JsonValue> v = ParseJson(quoted);
+    ASSERT_OK(v.status()) << quoted;
+    ASSERT_TRUE(v->is_string()) << quoted;
+    ASSERT_EQ(v->str_value(), s) << quoted;
+    v = ParseJson(ascii_json);
+    ASSERT_OK(v.status()) << ascii_json;
+    ASSERT_EQ(v->str_value(), s) << ascii_json;
+    JsonWriter w;
+    w.BeginObject();
+    w.Key(s);
+    w.String(s);
+    w.EndObject();
+    ASSERT_EQ(std::move(w).Take(), "{" + quoted + ":" + quoted + "}");
+  }
 }
 
 // Mutated request bodies: every input ends in a value or a ParseError,

@@ -83,6 +83,33 @@ TEST(JsonParseTest, UnicodeEscapes) {
                            "A");
 }
 
+// A surrogate pair is one code point outside the BMP and decodes to
+// its 4-byte UTF-8 sequence, not to two 3-byte (CESU-8) halves. A lone
+// or reversed surrogate is a ParseError.
+TEST(JsonParseTest, SurrogatePairsDecodeToOneCodePoint) {
+  ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson("\"\\ud83d\\ude00\""));
+  EXPECT_EQ(v.str_value(), "\xf0\x9f\x98\x80");  // U+1F600
+  ASSERT_OK_AND_ASSIGN(
+      v, ParseJson("\"a\\uD800\\uDC00b\\uDBFF\\uDFFFc\""));
+  EXPECT_EQ(v.str_value(), "a\xf0\x90\x80\x80"  // U+10000
+                           "b\xf4\x8f\xbf\xbf"  // U+10FFFF
+                           "c");
+  for (const char* bad : {
+           "\"\\ud83d\"",          // lone high, at the end
+           "\"\\ud83dx\"",         // lone high, then a plain byte
+           "\"\\ud83d\\n\"",       // lone high, then another escape
+           "\"\\ud83d\\u0041\"",   // high, then a non-surrogate
+           "\"\\ud83d\\ud83d\"",   // high, then another high
+           "\"\\ude00\"",          // lone low
+           "\"\\ude00\\ud83d\"",   // reversed pair
+           "\"\\ud83d\\ude0\"",    // truncated low
+       }) {
+    const Result<JsonValue> r = ParseJson(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << bad;
+  }
+}
+
 TEST(JsonParseTest, RejectsMalformed) {
   EXPECT_FALSE(ParseJson("").ok());
   EXPECT_FALSE(ParseJson("{").ok());
@@ -136,6 +163,46 @@ TEST(JsonWriterTest, QuoteEscapesControlCharacters) {
   const std::string quoted = JsonQuote(std::string("\x01\t\n", 3));
   ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(quoted));
   EXPECT_EQ(v.str_value(), std::string("\x01\t\n", 3));
+}
+
+// The escape of every byte, as the quoting wrote it before it learned
+// to append unescaped runs whole: the 32 control bytes, then '"' and
+// '\\'; every other byte (0x7F and the UTF-8 lead and continuation
+// bytes included) is written as it is.
+std::string QuotedByte(unsigned char b) {
+  static const char* const kControl[32] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005",
+      "\\u0006", "\\u0007", "\\b",     "\\t",     "\\n",     "\\u000b",
+      "\\f",     "\\r",     "\\u000e", "\\u000f", "\\u0010", "\\u0011",
+      "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+      "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+      "\\u001e", "\\u001f"};
+  if (b < 0x20) return kControl[b];
+  if (b == '"') return "\\\"";
+  if (b == '\\') return "\\\\";
+  return std::string(1, static_cast<char>(b));
+}
+
+TEST(JsonWriterTest, QuoteEscapesEveryByteAloneAndBetweenRuns) {
+  std::string all, all_expected;
+  for (int b = 0; b < 256; ++b) {
+    const std::string byte(1, static_cast<char>(b));
+    const std::string escaped = QuotedByte(static_cast<unsigned char>(b));
+    EXPECT_EQ(JsonQuote(byte), "\"" + escaped + "\"") << "byte " << b;
+    EXPECT_EQ(JsonQuote("ab" + byte + "cd"), "\"ab" + escaped + "cd\"")
+        << "byte " << b;
+    all += byte + "xyz";
+    all_expected += escaped + "xyz";
+  }
+  EXPECT_EQ(JsonQuote(all), "\"" + all_expected + "\"");
+  // The writer's keys and strings escape exactly as JsonQuote does.
+  JsonWriter w;
+  w.BeginObject();
+  w.Key(all);
+  w.String(all);
+  w.EndObject();
+  EXPECT_EQ(std::move(w).Take(), "{" + JsonQuote(all) + ":" +
+                                     JsonQuote(all) + "}");
 }
 
 }  // namespace

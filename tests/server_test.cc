@@ -5,6 +5,7 @@
 // idempotent shutdown with connections in flight.
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +191,86 @@ TEST(ServerTest, HealthPublishesNoSnapshot) {
   ASSERT_OK_AND_ASSIGN(const TableSnapshot after, ts.db.GetSnapshot("t"));
   EXPECT_EQ(after.epoch, before.epoch + 1);
   EXPECT_EQ(after.num_rows(), 2);
+}
+
+// True when `s` is well-formed UTF-8: no stray continuation byte, no
+// truncated, overlong or surrogate sequence, nothing past U+10FFFF.
+bool ValidUtf8(const std::string& s) {
+  size_t i = 0;
+  while (i < s.size()) {
+    const unsigned char b = static_cast<unsigned char>(s[i]);
+    int len = 0;
+    uint32_t cp = 0;
+    if (b < 0x80) {
+      ++i;
+      continue;
+    } else if ((b & 0xE0) == 0xC0) {
+      len = 2;
+      cp = b & 0x1F;
+    } else if ((b & 0xF0) == 0xE0) {
+      len = 3;
+      cp = b & 0x0F;
+    } else if ((b & 0xF8) == 0xF0) {
+      len = 4;
+      cp = b & 0x07;
+    } else {
+      return false;
+    }
+    if (i + len > s.size()) return false;
+    for (int k = 1; k < len; ++k) {
+      const unsigned char c = static_cast<unsigned char>(s[i + k]);
+      if ((c & 0xC0) != 0x80) return false;
+      cp = (cp << 6) | (c & 0x3F);
+    }
+    static constexpr uint32_t kMin[] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < kMin[len] || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += len;
+  }
+  return true;
+}
+
+// A client that escapes everything outside ASCII (Python's json.dumps
+// by default) sends U+1F600 as the pair \ud83d\ude00. The row it
+// inserts must be the one a raw-UTF-8 WHERE finds, and the response
+// carrying it must be valid UTF-8.
+TEST(ServerTest, EscapedSurrogatePairsMatchRawUtf8) {
+  TestServer ts;
+  ASSERT_OK_AND_ASSIGN(HttpConnection conn,
+                       HttpConnection::Open(ts.server.port()));
+  ASSERT_OK_AND_ASSIGN(
+      HttpClientResponse r,
+      conn.Post("/query",
+                R"({"sql":"CREATE TABLE t (a TEXT, b TEXT);)"
+                R"(INSERT INTO t VALUES ('\ud83d\ude00', 'escaped');"})"));
+  ASSERT_EQ(r.status, 200) << r.body;
+
+  ASSERT_OK_AND_ASSIGN(
+      r, conn.Post("/query", "{\"sql\":\"SELECT a, b FROM t WHERE a = "
+                             "'\xf0\x9f\x98\x80';\"}"));
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_TRUE(ValidUtf8(r.body)) << r.body;
+  ASSERT_OK_AND_ASSIGN(JsonValue v, ParseJson(r.body));
+  const JsonValue& stmt = v.Find("statements")->items()[0];
+  EXPECT_EQ(stmt.Find("affected")->int_value(), 1);
+  const JsonValue* data = stmt.Find("rows")->Find("data");
+  ASSERT_EQ(data->items().size(), 1u);
+  EXPECT_EQ(data->items()[0].items()[0].str_value(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(data->items()[0].items()[1].str_value(), "escaped");
+
+  // A lone surrogate is a malformed body: 400, and nothing inserted.
+  ASSERT_OK_AND_ASSIGN(
+      r, conn.Post("/query",
+                   R"({"sql":"INSERT INTO t VALUES ('\ud83d', 'lone');"})"));
+  EXPECT_EQ(r.status, 400) << r.body;
+  ASSERT_OK_AND_ASSIGN(r,
+                       conn.Post("/query", R"({"sql":"SELECT * FROM t;"})"));
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_TRUE(ValidUtf8(r.body)) << r.body;
+  ASSERT_OK_AND_ASSIGN(v, ParseJson(r.body));
+  EXPECT_EQ(v.Find("statements")->items()[0].Find("affected")->int_value(),
+            1);
 }
 
 TEST(ServerTest, ErrorsAreMachineReadable) {

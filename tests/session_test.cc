@@ -4,7 +4,8 @@
 // server-session transaction barrier, the shared constraint-set cache,
 // and — under the `concurrency` ctest label — N reader sessions racing
 // a committing/aborting writer while observing only committed prefixes,
-// bit-identical to the serial oracle, and readers racing multi-row
+// bit-identical to the serial oracle in text and in RenderJson, and
+// readers racing multi-row
 // INSERTs that never see part of one.
 
 #include <atomic>
@@ -254,7 +255,10 @@ TEST(SessionTest, ValidateRendersTheHistoricalCliText) {
 // writer. Every result a reader sees must be bit-identical to a serial
 // oracle prefix: rows 0..3k-1 in insertion order (batches of 3 commit
 // atomically; aborted junk never surfaces). Both SELECTs of each
-// read-only script must agree (one SnapshotAll epoch per script).
+// read-only script must agree (one SnapshotAll epoch per script), and
+// the RenderJson bytes must be the oracle's: a result holds its
+// columns' dictionaries after its snapshot is gone, while the writers
+// mint values into them and roll them back.
 TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
   Database db;
   SessionRegistry registry(&db);
@@ -263,9 +267,13 @@ TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
     ASSERT_TRUE(setup.Execute("CREATE TABLE t (a TEXT);").ok());
   }
   constexpr int kBatches = 12;
+  // Every INSERT mints a new value into `a`, which the readers select
+  // and render; the quote, backslash and tab make its JSON escape.
+  auto value = [](int n) { return std::to_string(n) + "\"\\\t"; };
 
   // Serial oracle: the only states a reader may observe.
-  std::map<int, std::string> oracle;  // row count -> Table::ToString
+  std::map<int, std::string> oracle;       // row count -> Table::ToString
+  std::map<int, std::string> oracle_json;  // row count -> RenderJson
   {
     Database serial;
     SessionRegistry serial_registry(&serial);
@@ -276,15 +284,15 @@ TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
       if (k > 0) {
         std::string script = "BEGIN;";
         for (int i = 0; i < 3; ++i) {
-          script += "INSERT INTO t VALUES ('" +
-                    std::to_string(next++) + "');";
+          script += "INSERT INTO t VALUES ('" + value(next++) + "');";
         }
         script += "COMMIT;";
         ASSERT_TRUE(session.Execute(script).ok());
       }
-      ResultSet rs = session.Execute("SELECT * FROM t;");
+      ResultSet rs = session.Execute("SELECT * FROM t; SELECT * FROM t;");
       ASSERT_TRUE(rs.ok());
       oracle[3 * k] = rs.statements[0].rows->ToString();
+      oracle_json[3 * k] = RenderJson(rs);
     }
   }
 
@@ -304,11 +312,15 @@ TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
           ++violations;
           continue;
         }
+        // The snapshots are gone; the results still hold the
+        // dictionaries the writer keeps minting into.
         const std::string first = rs.statements[0].rows->ToString();
-        auto it = oracle.find(rs.statements[0].rows->num_rows());
+        const int rows = rs.statements[0].rows->num_rows();
+        auto it = oracle.find(rows);
         // Committed prefix, and one epoch across the whole script.
         if (it == oracle.end() || it->second != first ||
-            rs.statements[1].rows->ToString() != first) {
+            rs.statements[1].rows->ToString() != first ||
+            RenderJson(rs) != oracle_json[rows]) {
           ++violations;
         }
         ++reads;
@@ -332,8 +344,7 @@ TEST(SessionTest, ConcurrentSessionsSeeOnlyCommittedPrefixes) {
     for (int k = 0; k < kBatches; ++k) {
       std::string script = "BEGIN;";
       for (int i = 0; i < 3; ++i) {
-        script +=
-            "INSERT INTO t VALUES ('" + std::to_string(next++) + "');";
+        script += "INSERT INTO t VALUES ('" + value(next++) + "');";
       }
       script += "COMMIT;";
       ResultSet rs = writer.Execute(script);

@@ -491,7 +491,7 @@ TEST(SnapshotTest, FilteredJoinReadersRaceMintingWriter) {
         for (int j = 0; j < prefix; ++j) {
           if (j == t || (j == u && j % 3 == v)) want.push_back(j);
         }
-        const Table& rows = *got->rows;
+        const ResultRows& rows = *got->rows;
         if (rows.num_rows() != static_cast<int>(want.size())) {
           ++failures;
           return;
@@ -594,7 +594,7 @@ TEST(SnapshotTest, KeyLookupReadersRaceKeyPinnedWriter) {
           ++failures;
           return;
         }
-        const Table& rows = *got->rows;
+        const ResultRows& rows = *got->rows;
         if (rows.num_rows() > 1 || (!fresh && rows.num_rows() != 1) ||
             (rows.num_rows() == 1 && !committed_status(rows.row(0)[0]))) {
           ++failures;
